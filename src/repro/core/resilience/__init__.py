@@ -27,8 +27,8 @@ from repro.core.resilience.failover import (
     policy_by_name,
 )
 from repro.core.resilience.failures import (
-    FailureInjectedSystem,
     HostCrash,
+    LinkBlackout,
     LinkFailureSchedule,
     blackout_survival_sweep,
 )
@@ -51,7 +51,7 @@ __all__ = [
     "ResilienceReport",
     "resilience_sweep",
     "LinkFailureSchedule",
-    "FailureInjectedSystem",
+    "LinkBlackout",
     "HostCrash",
     "blackout_survival_sweep",
     "LossResiliencePoint",

@@ -491,9 +491,9 @@ class QuarantinePolicy(FailoverPolicy):
     """Quarantine the dead window; serve from borrower-local memory.
 
     Reuses the graceful-degradation fallback of
-    :mod:`repro.core.resilience.degradation` (the same local-memory
-    path :class:`~repro.node.reliable.ReliableThymesisFlowSystem` takes
-    on retry exhaustion).  No fail-back: a quarantined pair stays local
+    :mod:`repro.core.resilience.degradation`: the datapath's ``local``
+    mode, the same one ARQ retry exhaustion enters under
+    ``degraded_mode``.  No fail-back: a quarantined pair stays local
     even if the lender restarts.
     """
 
@@ -688,12 +688,13 @@ def _failover_point(
     coord = deployment.coordinator
     rows: List[dict] = []
     for idx, (pair, driver, proc) in enumerate(zip(deployment.pairs, drivers, procs)):
+        failover = pair.availability
         crashed = not proc.ok and isinstance(proc._exc, HostCrash)  # noqa: SLF001
         if not proc.ok and not crashed:
             _ = proc.value  # unexpected failure: surface it
         if crashed:
             outcome = CRASHED
-        elif pair.evacuated_to is not None:
+        elif failover.evacuated_to is not None:
             outcome = EVACUATED
         elif pair.quarantined_at is not None:
             outcome = DEGRADED
@@ -718,18 +719,20 @@ def _failover_point(
                 "lender": f"l{assignment[idx]}",
                 "outcome": outcome,
                 "detect_ms": (
-                    pair.detect_lag_ps / 1e9 if pair.detect_lag_ps is not None else None
-                ),
-                "evac_stall_ms": (
-                    pair.evacuation_stall_ps / 1e9
-                    if pair.evacuation_stall_ps is not None
+                    failover.detect_lag_ps / 1e9
+                    if failover.detect_lag_ps is not None
                     else None
                 ),
-                "pages_evacuated": pair.pages_evacuated,
-                "new_lender": pair.evacuated_to,
+                "evac_stall_ms": (
+                    failover.evacuation_stall_ps / 1e9
+                    if failover.evacuation_stall_ps is not None
+                    else None
+                ),
+                "pages_evacuated": failover.pages_evacuated,
+                "new_lender": failover.evacuated_to,
                 "goodput_dip": dip,
                 "p99_inflation": inflation,
-                "blip_stalls": pair.blip_stalls,
+                "blip_stalls": failover.blip_stalls,
                 "degraded_accesses": int(
                     pair.stats.counters.get("degraded.accesses", 0)
                 ),

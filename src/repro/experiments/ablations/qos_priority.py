@@ -14,7 +14,7 @@ from repro.engine import AccessPhase, DesPhaseDriver, PhaseProgram
 from repro.experiments.base import ExperimentResult
 from repro.nic.mux import TrafficClass
 from repro.node.cluster import ThymesisFlowSystem
-from repro.node.qos import QosThymesisFlowSystem
+from repro.node.qos import PriorityGate
 from repro.units import US
 
 __all__ = ["run"]
@@ -22,8 +22,8 @@ __all__ = ["run"]
 DEFAULT_PERIOD = 200
 
 
-def _mixed_run(system_cls, period: int, bulk_lines: int, probe_lines: int) -> dict:
-    system = system_cls(paper_cluster_config(period=period))
+def _mixed_run(gate, period: int, bulk_lines: int, probe_lines: int) -> dict:
+    system = ThymesisFlowSystem(paper_cluster_config(period=period), gate=gate)
     system.attach_or_raise()
     bulk_prog = PhaseProgram("bulk").add(
         AccessPhase("stream", n_lines=bulk_lines, concurrency=128, write_fraction=0.5)
@@ -56,8 +56,8 @@ def run(
 ) -> ExperimentResult:
     """FIFO vs strict-priority gate arbitration under a bulk tenant."""
     measurements = {
-        "fifo": _mixed_run(ThymesisFlowSystem, period, bulk_lines, probe_lines),
-        "priority": _mixed_run(QosThymesisFlowSystem, period, bulk_lines, probe_lines),
+        "fifo": _mixed_run(None, period, bulk_lines, probe_lines),
+        "priority": _mixed_run(PriorityGate(), period, bulk_lines, probe_lines),
     }
     rows = [
         (

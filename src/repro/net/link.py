@@ -8,6 +8,8 @@ FIFO serialization server plus fixed propagation delay.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.config import LinkConfig
 from repro.mem.bus import BandwidthServer
 from repro.units import Duration, Time
@@ -31,6 +33,11 @@ class SimplexChannel:
         """
         _, eot = self._server.reserve(nbytes, at)
         return eot + self.config.propagation_delay
+
+    def transmit_blamed(self, nbytes: int, at: Time) -> Tuple[Time, Time]:
+        """``(transmit(...), busy_until before it)``: the gap to *at* is queueing."""
+        busy = self._server.busy_until()
+        return self.transmit(nbytes, at), busy
 
     def serialization_time(self, nbytes: int) -> Duration:
         """Pure wire time of *nbytes* (no queueing, no propagation)."""

@@ -20,7 +20,7 @@ This module provides the two endpoint state machines:
   arrivals are buffered and only the gap is resent).
 
 The driving loop that charges simulated time lives in
-:class:`repro.node.reliable.ReliableThymesisFlowSystem`; everything
+:class:`repro.node.reliable.ArqDelivery`; everything
 here is pure state machinery, unit-testable without a simulator.
 """
 

@@ -2,11 +2,11 @@
 
 from repro.node.cluster import AccessResult, ThymesisFlowSystem
 from repro.node.cpu import MemoryWindow
-from repro.node.multipair import BeyondRackDeployment, FabricPairSystem
+from repro.node.multipair import BeyondRackDeployment, FabricWire, LenderFailover
 from repro.node.node import Node
 from repro.node.pool import MemoryPoolFabric, PoolConfig
-from repro.node.qos import QosThymesisFlowSystem
-from repro.node.reliable import ReliableThymesisFlowSystem
+from repro.node.qos import PriorityGate
+from repro.node.reliable import ArqDelivery, ReliableThymesisFlowSystem
 
 __all__ = [
     "MemoryWindow",
@@ -16,7 +16,9 @@ __all__ = [
     "MemoryPoolFabric",
     "PoolConfig",
     "BeyondRackDeployment",
-    "FabricPairSystem",
-    "QosThymesisFlowSystem",
+    "FabricWire",
+    "LenderFailover",
+    "PriorityGate",
+    "ArqDelivery",
     "ReliableThymesisFlowSystem",
 ]

@@ -1,6 +1,8 @@
-"""QoS-enabled testbed: priority arbitration at the delay gate.
+"""QoS gate stage: priority arbitration at the delay gate.
 
-Swaps the vanilla FIFO injector admission for the
+:class:`PriorityGate` is a ``gate`` stage for
+:class:`~repro.node.cluster.ThymesisFlowSystem`.  It swaps the vanilla
+FIFO injector admission for the
 :class:`~repro.nic.qos_gate.PriorityGateServer`, so latency-sensitive
 transactions overtake waiting bulk traffic at every grant opportunity —
 the "network packet prioritization" mechanism the paper's section IV-D
@@ -10,46 +12,45 @@ insight calls for.  The grant grid itself is unchanged: QoS reorders
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
-from repro.config import ClusterConfig
-from repro.core.delay import DelaySchedule
 from repro.nic.mux import TrafficClass
 from repro.nic.qos_gate import PriorityGateServer
-from repro.node.cluster import ThymesisFlowSystem
-from repro.sim import Simulator, Timeout
+from repro.sim import Timeout
 from repro.units import Time
 
-__all__ = ["QosThymesisFlowSystem"]
+__all__ = ["PriorityGate"]
 
 
-class QosThymesisFlowSystem(ThymesisFlowSystem):
-    """Testbed whose egress gate arbitrates by traffic class."""
+class PriorityGate:
+    """Gate stage that arbitrates by traffic class.
 
-    def __init__(
-        self,
-        config: ClusterConfig,
-        schedule: Optional[DelaySchedule] = None,
-        sim: Optional[Simulator] = None,
-        admission=None,
-    ) -> None:
-        super().__init__(config, schedule=schedule, sim=sim)
-        # ``admission`` is an optional overload-control policy
-        # (repro.core.overload.AdmissionPolicy); when set, the gate
-        # sheds lowest-class work first under saturating load.
-        self.qos_gate = PriorityGateServer(
-            self.sim,
-            interval=self.injector.interval_ps,
+    Parameters
+    ----------
+    admission:
+        Optional overload-control policy
+        (:class:`repro.core.overload.AdmissionPolicy`); when set, the
+        gate sheds lowest-class work first under saturating load.
+    """
+
+    def __init__(self, admission=None) -> None:
+        self.admission = admission
+
+    def bind(self, system) -> None:
+        """Build the gate server on the system's injector grid."""
+        self.sim = system.sim
+        self.server = PriorityGateServer(
+            system.sim,
+            interval=system.injector.interval_ps,
             name="nic.qos-gate",
-            admission=admission,
+            admission=self.admission,
         )
 
-    def _admit(self, valid_at: Time, traffic_class: TrafficClass) -> Generator:
-        if traffic_class is None:
-            traffic_class = TrafficClass.NORMAL
+    def admit(self, valid_at: Time, traffic_class: TrafficClass) -> Generator:
+        """Wait for a grant (generator returning the grant time)."""
         # A transaction enters the gate's waiting pool only once it is
         # actually VALID at the injector's input.
         if valid_at > self.sim.now:
             yield Timeout(self.sim, valid_at - self.sim.now)
-        grant = yield self.qos_gate.request(traffic_class)
+        grant = yield self.server.request(traffic_class)
         return grant

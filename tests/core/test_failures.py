@@ -4,13 +4,14 @@ import pytest
 
 from repro.calibration import paper_cluster_config
 from repro.core.resilience import (
-    FailureInjectedSystem,
     HostCrash,
+    LinkBlackout,
     LinkFailureSchedule,
     blackout_survival_sweep,
 )
 from repro.engine import AccessPhase, DesPhaseDriver, PhaseProgram
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
+from repro.node.cluster import ThymesisFlowSystem
 from repro.units import microseconds, milliseconds
 
 
@@ -52,10 +53,9 @@ class TestFailureInjectedSystem:
         failures = LinkFailureSchedule(
             outages=((microseconds(50), milliseconds(outage_ms)),)
         )
-        system = FailureInjectedSystem(
+        system = ThymesisFlowSystem(
             paper_cluster_config(period=1),
-            failures,
-            stall_tolerance=milliseconds(tolerance_ms),
+            availability=LinkBlackout(failures, stall_tolerance=milliseconds(tolerance_ms)),
         )
         system.attach_or_raise()
         return system
@@ -63,8 +63,8 @@ class TestFailureInjectedSystem:
     def test_short_blackout_is_delay_not_crash(self):
         system = self._system(outage_ms=5)
         result = DesPhaseDriver(system, burst()).run_to_completion()
-        assert system.stalls_observed > 0
-        assert system.longest_stall <= milliseconds(5)
+        assert system.availability.stalls_observed > 0
+        assert system.availability.longest_stall <= milliseconds(5)
         # The run absorbed the outage as extra completion time.
         assert result.duration_ps > milliseconds(5)
 
@@ -78,12 +78,12 @@ class TestFailureInjectedSystem:
             _ = proc.value
 
     def test_no_failures_behaves_like_base_system(self):
-        clean = FailureInjectedSystem(
-            paper_cluster_config(period=1), LinkFailureSchedule()
+        clean = ThymesisFlowSystem(
+            paper_cluster_config(period=1), availability=LinkBlackout(LinkFailureSchedule())
         )
         clean.attach_or_raise()
         result = DesPhaseDriver(clean, burst()).run_to_completion()
-        assert clean.stalls_observed == 0
+        assert clean.availability.stalls_observed == 0
         assert result.lines == 8000
 
     def test_flap_series_all_absorbed(self):
@@ -93,17 +93,17 @@ class TestFailureInjectedSystem:
             gap=microseconds(15),
             count=5,
         )
-        system = FailureInjectedSystem(paper_cluster_config(period=1), failures)
+        system = ThymesisFlowSystem(
+            paper_cluster_config(period=1), availability=LinkBlackout(failures)
+        )
         system.attach_or_raise()
         result = DesPhaseDriver(system, burst()).run_to_completion()
-        assert system.stalls_observed > 0
+        assert system.availability.stalls_observed > 0
         assert result.lines == 8000
 
     def test_invalid_tolerance(self):
-        with pytest.raises(ReproError):
-            FailureInjectedSystem(
-                paper_cluster_config(), LinkFailureSchedule(), stall_tolerance=0
-            )
+        with pytest.raises(ConfigError):
+            LinkBlackout(LinkFailureSchedule(), stall_tolerance=0)
 
 
 class TestSurvivalSweep:

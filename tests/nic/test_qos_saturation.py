@@ -16,7 +16,8 @@ from repro.engine import AccessPhase, DesPhaseDriver, PhaseProgram
 from repro.errors import OverloadShed
 from repro.nic.mux import TrafficClass
 from repro.nic.qos_gate import PriorityGateServer
-from repro.node.qos import QosThymesisFlowSystem
+from repro.node.cluster import ThymesisFlowSystem
+from repro.node.qos import PriorityGate
 from repro.perf import PointTask, SweepExecutor
 from repro.sim import RngStreams, Simulator, Timeout
 
@@ -184,8 +185,8 @@ class TestQosSystemAdmission:
         picosecond — the overload hooks are pure overhead-free guards."""
 
         def run(admission):
-            system = QosThymesisFlowSystem(
-                paper_cluster_config(period=50), admission=admission
+            system = ThymesisFlowSystem(
+                paper_cluster_config(period=50), gate=PriorityGate(admission=admission)
             )
             system.attach_or_raise()
             prog = PhaseProgram("w").add(
@@ -198,4 +199,4 @@ class TestQosSystemAdmission:
         guarded, system = run(QueueDepthAdmission(10**15))
         assert guarded.mean_latency_ps == plain.mean_latency_ps
         assert guarded.duration_ps == plain.duration_ps
-        assert sum(system.qos_gate.shed_by_class.values()) == 0
+        assert sum(system.gate.server.shed_by_class.values()) == 0

@@ -7,7 +7,8 @@ from repro.engine import AccessPhase, DesPhaseDriver, PhaseProgram
 from repro.nic.mux import TrafficClass
 from repro.nic.qos_gate import PriorityGateServer
 from repro.node.cluster import ThymesisFlowSystem
-from repro.node.qos import QosThymesisFlowSystem
+from repro.node.qos import PriorityGate
+from repro.obs import Observability, attribution_sidecar
 from repro.sim import Simulator, Timeout
 
 
@@ -95,9 +96,9 @@ class TestPriorityGateServer:
         assert gate.waiting() == 0
 
 
-def _mixed_run(system_cls, period=200):
+def _mixed_run(gate=None, period=200, obs=None):
     """One latency-sensitive prober + heavy bulk streamer, co-run."""
-    system = system_cls(paper_cluster_config(period=period))
+    system = ThymesisFlowSystem(paper_cluster_config(period=period), obs=obs, gate=gate)
     system.attach_or_raise()
     # Bulk outlasts the probe even under FIFO (probe accesses cost
     # ~W x interval there), so every probe sample sees contention.
@@ -126,16 +127,24 @@ def _mixed_run(system_cls, period=200):
 
 
 class TestQosSystem:
+    def test_traced_priority_gate_tiles_every_request(self):
+        """The priority gate is a stage, so it takes obs like any system."""
+        obs = Observability(trace=True, metrics=True, attrib=True)
+        _mixed_run(PriorityGate(), obs=obs)
+        (point,) = attribution_sidecar(obs.tracer, metrics=obs.metrics)["points"]
+        assert point["requests"] == 4000 + 15
+        assert point["mismatched"] == 0
+
     def test_sensitive_latency_improves_with_qos(self):
-        probe_fifo, _ = _mixed_run(ThymesisFlowSystem)
-        probe_qos, _ = _mixed_run(QosThymesisFlowSystem)
+        probe_fifo, _ = _mixed_run()
+        probe_qos, _ = _mixed_run(PriorityGate())
         # Under FIFO the probe queues behind the saturated bulk window
         # (~W x interval); with priority it waits at most one grant.
         assert probe_qos.mean_latency_ps < 0.2 * probe_fifo.mean_latency_ps
 
     def test_bulk_throughput_barely_affected(self):
-        _, bulk_fifo = _mixed_run(ThymesisFlowSystem)
-        _, bulk_qos = _mixed_run(QosThymesisFlowSystem)
+        _, bulk_fifo = _mixed_run()
+        _, bulk_qos = _mixed_run(PriorityGate())
         # The probe consumes a tiny fraction of grant opportunities.
         assert bulk_qos.bandwidth_bytes_per_s == pytest.approx(
             bulk_fifo.bandwidth_bytes_per_s, rel=0.1
@@ -149,7 +158,7 @@ class TestQosSystem:
         fifo_sys = ThymesisFlowSystem(paper_cluster_config(period=50))
         fifo_sys.attach_or_raise()
         fifo = DesPhaseDriver(fifo_sys, prog).run_to_completion()
-        qos_sys = QosThymesisFlowSystem(paper_cluster_config(period=50))
+        qos_sys = ThymesisFlowSystem(paper_cluster_config(period=50), gate=PriorityGate())
         qos_sys.attach_or_raise()
         qos = DesPhaseDriver(qos_sys, prog).run_to_completion()
         assert qos.mean_latency_ps == pytest.approx(fifo.mean_latency_ps, rel=0.05)

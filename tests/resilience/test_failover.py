@@ -298,12 +298,12 @@ class TestDeploymentFailover:
     def test_evacuation_resumes_on_survivor(self):
         deployment, drivers, procs = run_deployment("evacuate", CRASH_AT_30US)
         assert all(proc.ok for proc in procs)
-        pair = deployment.pairs[0]
-        assert pair.evacuated_to == "l1"
-        assert pair.pages_evacuated > 0
-        assert pair.evacuation_stall_ps > 0
+        failover = deployment.pairs[0].availability
+        assert failover.evacuated_to == "l1"
+        assert failover.pages_evacuated > 0
+        assert failover.evacuation_stall_ps > 0
         # Detection: crash at 30us, ticks at 40/60/80us -> 50us of lag.
-        assert pair.detect_lag_ps == 50 * US
+        assert failover.detect_lag_ps == 50 * US
         events = [e["event"] for e in deployment.coordinator.events]
         assert events == ["lender_dead", "evacuation_started", "evacuation_done"]
         # The surrendered window was re-reserved on the survivor.
@@ -315,9 +315,9 @@ class TestDeploymentFailover:
         blip = LenderFailureSchedule.single("restart", at=30 * US, duration=30 * US)
         deployment, _, procs = run_deployment("evacuate", blip)
         assert all(proc.ok for proc in procs)
-        pair = deployment.pairs[0]
-        assert pair.blip_stalls > 0
-        assert pair.evacuated_to is None
+        failover = deployment.pairs[0].availability
+        assert failover.blip_stalls > 0
+        assert failover.evacuated_to is None
         assert deployment.coordinator.events == []
         assert deployment.plane.health("l0") is HealthState.HEALTHY
 
