@@ -455,12 +455,13 @@ def datapath_blame_splits(
     arrive_lender, t_mem, arrive_back, complete)``; *snapshots* the
     resource-idle times sampled before each reservation,
     ``(intrinsic_grant, forward_busy, mem_ready, bus_busy,
-    reverse_busy)``.  Each wait boundary is clamped into its enclosing
-    segment (plain comparisons — min()/max() calls are measurable at
-    this rate), so the derived waits always fit inside ``[issue,
-    complete]`` even for subclasses that reroute a leg: a switched
-    fabric leaves the point-to-point link idle and the clamp then
-    charges the whole leg to service.
+    reverse_busy)``; a fabric wire stage fills the two link slots
+    with ``depart + queueing summed over the route's hops``, so
+    shared-port queueing lands in ``queue_wait`` as on the private
+    link.  Each wait boundary is clamped into its enclosing segment
+    (plain comparisons — min()/max() calls are measurable at this
+    rate), so the derived waits always fit inside ``[issue,
+    complete]``.
 
     Returns ``(injected, queued_fwd, queued_rev, contended, wire_start,
     bus_start, rev_start, mem_ready)`` — the four wait durations plus

@@ -6,6 +6,7 @@ from repro.calibration import paper_cluster_config
 from repro.engine import DesPhaseDriver, Location
 from repro.errors import ConfigError
 from repro.node.multipair import BeyondRackDeployment
+from repro.obs import Observability, attribution_sidecar
 from repro.workloads.stream import StreamConfig, StreamWorkload
 
 
@@ -91,3 +92,30 @@ class TestFabricContention:
             n_elements=3000,
         )
         assert slow[0] < 0.1 * fast[0]
+
+
+class TestFabricBlame:
+    def test_incast_queueing_is_blamed_as_queue_wait(self):
+        """Four borrowers onto one lender: shared-port queueing is
+        charged ``queue_wait``, not ``service``, and tracing moves no
+        timing."""
+
+        def incast(obs=None):
+            return BeyondRackDeployment(
+                4,
+                lender_assignment=[0] * 4,
+                cluster=paper_cluster_config(period=1),
+                obs=obs,
+            )
+
+        obs = Observability(trace=True, metrics=True, attrib=True)
+        deployment = incast(obs)
+        traced = run_streams(deployment)
+        deployment.finish_obs()
+        assert traced == run_streams(incast())
+        points = attribution_sidecar(obs.tracer, metrics=obs.metrics)["points"]
+        assert len(points) == 4
+        for point in points:
+            assert point["mismatched"] == 0
+            assert point["blame_share"]["queue_wait"] > 0.5
+            assert point["blame_share"]["service"] < 0.5
