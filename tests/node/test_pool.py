@@ -56,3 +56,35 @@ class TestPoolFabric:
             MemoryPoolFabric(0)
         with pytest.raises(ConfigError):
             PoolConfig(bandwidth_bytes_per_s=0)
+
+
+#: Exact run_streams output pinned per config: one (bandwidth, mean
+#: latency) pair per borrower.  Any change to the pool's datapath timing
+#: shows up here as an inequality, not a tolerance drift.
+POOL_PINS = {
+    (1, 25.0, 1, 3000): [(9724552062.820606, 1650128.2133333334)],
+    (4, 25.0, 1, 3000): [
+        (6142034548.944338, 2612032.8533333335),
+        (6141531595.621088, 2612251.3066666666),
+        (6141028724.6618595, 2612469.76),
+        (6140525936.046422, 2612688.2133333334),
+    ],
+    (6, 25.0, 1, 3000): [
+        (4118856468.149226, 3894572.3733333335),
+        (4118630280.856263, 3894790.8266666667),
+        (4118404118.4041185, 3895009.28),
+        (4118177980.7886996, 3895227.7333333334),
+        (4117951868.005916, 3895446.1866666665),
+        (4117725780.051677, 3895664.64),
+    ],
+    (1, 100.0, 200, 2000): [(204685926.07716608, 77504584.96)],
+}
+
+
+@pytest.mark.parametrize("n,pool_gbs,period,lines", sorted(POOL_PINS))
+def test_pinned_run_streams(n, pool_gbs, period, lines):
+    results = fabric(n, pool_gbs=pool_gbs, period=period).run_streams(
+        lines_per_borrower=lines
+    )
+    got = [(r["bandwidth_bytes_per_s"], r["mean_latency_ps"]) for r in results]
+    assert got == POOL_PINS[(n, pool_gbs, period, lines)]
