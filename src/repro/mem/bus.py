@@ -48,7 +48,6 @@ class BandwidthServer:
         "_busy_time",
         "queue_wait_hist",
         "_background",
-        "admission",
         "sheds",
     )
 
@@ -66,9 +65,6 @@ class BandwidthServer:
         self.queue_wait_hist: Optional[LogHistogram] = None
         # Fluid background traffic (None = pure-DES fast path).
         self._background: Optional[RateSchedule] = None
-        # Optional overload-control admission policy (duck-typed as
-        # repro.core.overload.AdmissionPolicy; None = admit everything).
-        self.admission = None
         self.sheds = 0
 
     def enable_queue_wait_tracking(self) -> LogHistogram:
@@ -120,17 +116,17 @@ class BandwidthServer:
         wait = self._next_free - at
         return wait if wait > 0 else 0
 
-    def try_admit(self, traffic_class, at: Time) -> bool:
+    def try_admit(self, policy, traffic_class, at: Time) -> bool:
         """Admission-control check for work arriving at *at*.
 
-        Consults the attached policy against the current reservation
-        backlog; a rejection is counted in ``sheds`` and the caller
-        must not reserve.  With no policy attached this is always True
-        (and the reserve fast path is untouched).
+        Consults *policy* (duck-typed as
+        :class:`repro.core.overload.AdmissionPolicy`) against the
+        current reservation backlog; a rejection is counted in
+        ``sheds`` and the caller must not reserve.  The policy belongs
+        to the caller, so a server shared by several requesters never
+        holds one requester's policy.
         """
-        if self.admission is None:
-            return True
-        if self.admission.admit(traffic_class, 0, self.queue_delay(at)):
+        if policy.admit(traffic_class, 0, self.queue_delay(at)):
             return True
         self.sheds += 1
         return False

@@ -117,9 +117,6 @@ class ArqDelivery:
             self.overload_config, rng=system.rng, name="lender"
         )
         self.protected = self.overload.enabled  # fixed once built
-        if self.overload.lender_admission:
-            # Lender-side shedding: the bus consults the same policy.
-            system.lender.dram.bus.admission = self.overload.admission
 
     # ------------------------------------------------------------------
     # Lender-side receive path
@@ -155,8 +152,9 @@ class ArqDelivery:
             return None, False
         if fresh and delivery.packet.kind in (PacketKind.READ_REQ, PacketKind.WRITE_REQ):
             system.translator.translate(delivery.packet.addr)
-            if self.overload.lender_admission and not system.lender.dram.bus.try_admit(
-                self._request_class(delivery.packet), t
+            overload = self.overload
+            if overload.lender_admission and not system.lender.dram.bus.try_admit(
+                overload.admission, self._request_class(delivery.packet), t
             ):
                 # Lender-side load shedding: the memory bus backlog is
                 # beyond the admission target, so answer with a shed
