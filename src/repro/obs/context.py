@@ -103,6 +103,9 @@ class Observability:
             TimelineSampler(cadence_ps) if metrics else None
         )
         self.profiler: Optional[LoopProfiler] = LoopProfiler() if profile else None
+        # Lender buses already folded into the metrics (shared lenders
+        # appear once per pair at finish time).
+        self._folded_buses: list = []
 
     # ------------------------------------------------------------------
     def attach_system(self, system, label: Optional[str] = None) -> int:
@@ -146,9 +149,9 @@ class Observability:
         # the row's interval (delta of summed wait time / elapsed).
         timeline.rate_probe("injector_stall_frac", lambda: injector.waits.sum(), scale=1.0)
         timeline.add_probe("events_processed", lambda: sim.events_processed)
-        # Reliable-transport systems expose ARQ counters; base systems
-        # don't have the attribute, and the probe costs them nothing.
-        transport = getattr(system, "transport", None)
+        # An ARQ delivery stage exposes its transport counters; other
+        # systems have none, and the probe costs them nothing.
+        transport = getattr(getattr(system, "delivery", None), "transport", None)
         if transport is not None:
             timeline.add_probe(
                 "transport_retransmissions", lambda: transport.stats.retransmissions
@@ -175,6 +178,25 @@ class Observability:
             system.lender.dram.bus.enable_queue_wait_tracking()
         return pid
 
+    def _fold_histograms(self, system) -> None:
+        """Merge the system's MSHR and lender-bus wait histograms.
+
+        Systems that share a lender share its bus histogram, so each
+        distinct bus is folded once per bundle.
+        """
+        metrics = self.metrics
+        window_hist = getattr(system.borrower.window, "wait_hist", None)
+        if window_hist is not None and window_hist.count:
+            metrics.histogram("cpu.mshr_wait_ps").merge(window_hist)
+        bus = system.lender.dram.bus
+        bus_hist = bus.queue_wait_hist
+        if bus_hist is None or not bus_hist.count:
+            return
+        if any(folded is bus for folded in self._folded_buses):
+            return
+        self._folded_buses.append(bus)
+        metrics.histogram("lender.bus_queue_wait_ps").merge(bus_hist)
+
     def finish_shared(self, system, pid: Optional[int] = None) -> None:
         """Close out a secondary shared-simulator system.
 
@@ -187,12 +209,7 @@ class Observability:
             pid = getattr(system, "_obs_pid", 1) or 1
         if self.metrics_enabled:
             metrics = self.metrics
-            window_hist = getattr(system.borrower.window, "wait_hist", None)
-            if window_hist is not None and window_hist.count:
-                metrics.histogram("cpu.mshr_wait_ps").merge(window_hist)
-            bus_hist = system.lender.dram.bus.queue_wait_hist
-            if bus_hist is not None and bus_hist.count:
-                metrics.histogram("lender.bus_queue_wait_ps").merge(bus_hist)
+            self._fold_histograms(system)
             flush_blame = getattr(system, "flush_blame_metrics", None)
             if flush_blame is not None:
                 flush_blame(metrics)
@@ -209,12 +226,7 @@ class Observability:
             self.timeline.flush_run(system.sim.now)
         if self.metrics_enabled:
             metrics = self.metrics
-            window_hist = getattr(system.borrower.window, "wait_hist", None)
-            if window_hist is not None and window_hist.count:
-                metrics.histogram("cpu.mshr_wait_ps").merge(window_hist)
-            bus_hist = system.lender.dram.bus.queue_wait_hist
-            if bus_hist is not None and bus_hist.count:
-                metrics.histogram("lender.bus_queue_wait_ps").merge(bus_hist)
+            self._fold_histograms(system)
             # StatRecorder.summary() now reports tail percentiles; fold
             # the run's flat summary in as gauges so exported metrics
             # carry the same numbers the experiment printed.

@@ -110,3 +110,24 @@ class TestExports:
         with open(path) as fh:
             for line in fh:
                 assert isinstance(json.loads(line), dict)
+
+
+class TestSystemProbes:
+    def test_arq_stage_probes_register(self):
+        """An ARQ delivery stage is bound before obs wires the timeline,
+        so its transport counters are sampled."""
+        from repro.calibration import paper_cluster_config
+        from repro.engine import AccessPhase, DesPhaseDriver, PhaseProgram
+        from repro.node.reliable import ReliableThymesisFlowSystem
+        from repro.obs import Observability
+
+        obs = Observability(trace=False, metrics=True)
+        system = ReliableThymesisFlowSystem(paper_cluster_config(period=1), obs=obs)
+        system.attach_or_raise()
+        program = PhaseProgram("burst").add(AccessPhase("stream", n_lines=500, concurrency=16))
+        DesPhaseDriver(system, program).run_to_completion()
+        obs.finish_system(system)
+        assert obs.timeline.rows
+        for row in obs.timeline.rows:
+            assert "transport_retransmissions" in row
+            assert "retransmit_buffer_occupancy" in row
