@@ -285,8 +285,8 @@ def test_property_cancelled_events_never_fire(entries):
 
 
 # ----------------------------------------------------------------------
-# Kernel internals: _pop_live, the same-time FIFO fast path, the handle
-# free-list, and lazy-deletion compaction.
+# Kernel internals: _pop_live, the same-time FIFO fast path, late
+# cancels, and lazy-deletion compaction.
 # ----------------------------------------------------------------------
 class TestPopLive:
     def test_pops_in_fire_order(self):
@@ -313,7 +313,7 @@ class TestPopLive:
         sim = Simulator()
         heap_first = sim.schedule(4, lambda: None)
         sim.run(until=3)  # advance the clock below t=4
-        sim._now = 4  # reach t=4 without firing heap_first
+        sim.now = 4  # reach t=4 without firing heap_first
         fifo_second = sim.schedule(0, lambda: None)
         assert sim._pop_live() is heap_first
         assert sim._pop_live() is fifo_second
@@ -368,45 +368,22 @@ class TestSameTimeFifoFastPath:
 
 
 class TestHandlePool:
-    def test_fired_handle_recycled_when_unreferenced(self):
-        sim = Simulator()
-        for _ in range(10):
-            sim.schedule(1, lambda: None)
-        sim.run()
-        assert len(sim._pool) == 10
+    """Fired handles are never reused, so a late cancel is a no-op."""
 
     def test_retained_handle_never_recycled(self):
         sim = Simulator()
-        kept = sim.schedule(1, lambda: None)
+        fired = []
+        kept = sim.schedule(1, fired.append, "a")
         sim.run()
-        assert kept not in sim._pool
-        # Late cancel on the retained handle stays a harmless no-op.
-        kept.cancel()
-        assert sim._pool == [] or all(h is not kept for h in sim._pool)
-
-    def test_recycled_handles_are_reused(self):
-        sim = Simulator()
-        sim.schedule(1, lambda: None)
-        sim.run()
-        assert len(sim._pool) == 1
-        recycled = sim._pool[-1]
-        fresh = sim.schedule(1, lambda: None)
-        assert fresh is recycled
+        kept.cancel()  # late, after firing
+        assert sim._cancelled_pending == 0
+        fresh = sim.schedule(1, fired.append, "b")
+        assert fresh is not kept
         assert not fresh.cancelled
-
-    def test_pool_is_bounded(self):
-        from repro.sim.core import _POOL_MAX
-
-        sim = Simulator()
-        for _ in range(_POOL_MAX + 200):
-            sim.schedule(1, lambda: None)
-        sim.run()
-        assert len(sim._pool) <= _POOL_MAX
 
     def test_late_cancel_after_reuse_does_not_kill_new_event(self):
         # The dangerous sequence: fire handle A, user keeps a reference
-        # and cancels late.  A retained handle is never pooled, so the
-        # cancel cannot hit an unrelated recycled event.
+        # and cancels late.  The cancel must not hit a later event.
         sim = Simulator()
         fired = []
         kept = sim.schedule(1, fired.append, "a")
