@@ -24,6 +24,7 @@ into the generator.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Generator, Iterable, Optional
 
 from repro.errors import ProcessKilled, SimulationError
@@ -33,6 +34,11 @@ from repro.units import Duration
 __all__ = ["Waitable", "Signal", "Timeout", "Process", "AnyOf", "AllOf"]
 
 _PENDING = object()
+
+#: ``sys.getrefcount`` of a yielded :class:`Timeout` that nobody else
+#: holds: ``Process._resume``'s local, the call's own argument, and the
+#: bound ``_fire`` method in the timeout's scheduled handle.
+_ANONYMOUS = 3
 
 
 class Waitable:
@@ -115,15 +121,17 @@ class Timeout(Waitable):
     __slots__ = ("delay", "_handle")
 
     def __init__(self, sim: Simulator, delay: Duration, value: Any = None) -> None:
-        super().__init__(sim)
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
+        # Waitable.__init__, inlined: every sleep builds one of these.
+        self.sim = sim
+        self._value = _PENDING
+        self._exc = None
+        self._callbacks = []
         self.delay = delay
         self._handle = sim.schedule(delay, self._fire, value)
 
     def _fire(self, value: Any) -> None:
-        # Release the handle before triggering so the kernel can recycle
-        # it (the free list only reuses handles nobody references).
         self._handle = None
         self.trigger(value)
 
@@ -141,9 +149,16 @@ class Process(Waitable):
     :class:`Waitable` instances.  The generator's ``return`` value
     becomes the process's trigger value, so ``result = yield child``
     both joins *child* and fetches its result.
+
+    A freshly yielded :class:`Timeout` that nothing else can observe —
+    pending, no callbacks, no other reference — is never triggered:
+    its already-scheduled handle is re-pointed to resume the process
+    directly, keeping the timeout's ``(time, seq)`` and so the event
+    order.  A timeout that is joined or kept in a variable takes the
+    ordinary waitable path.
     """
 
-    __slots__ = ("name", "_gen", "_alive", "_current")
+    __slots__ = ("name", "_gen", "_alive")
 
     def __init__(
         self, sim: Simulator, generator: Generator[Waitable, Any, Any], name: str = ""
@@ -156,7 +171,6 @@ class Process(Waitable):
         self.name = name or getattr(generator, "__name__", "process")
         self._gen = generator
         self._alive = True
-        self._current: Optional[Waitable] = None
         sim.schedule(0, self._resume, None, None)
 
     # -- lifecycle --------------------------------------------------------
@@ -183,7 +197,6 @@ class Process(Waitable):
     def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
         if not self._alive:
             return
-        self._current = None
         try:
             if exc is not None:
                 target = self._gen.throw(exc)
@@ -201,14 +214,24 @@ class Process(Waitable):
             self._alive = False
             self.fail(err)
             return
-        if not isinstance(target, Waitable):
+        if type(target) is Timeout:
+            if (
+                target._value is _PENDING
+                and target._exc is None
+                and not target._callbacks
+                and sys.getrefcount(target) == _ANONYMOUS
+            ):
+                handle = target._handle
+                handle.callback = self._resume
+                handle.args = (handle.args[0], None)
+                return
+        elif not isinstance(target, Waitable):
             self._alive = False
             bad = SimulationError(
                 f"process {self.name!r} yielded {target!r}; expected a Waitable"
             )
             self.fail(bad)
             return
-        self._current = target
         target.add_callback(self._on_child)
 
 
