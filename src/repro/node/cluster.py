@@ -316,11 +316,11 @@ class ThymesisFlowSystem:
         delivery = self.delivery
         if delivery is not None:
             delivery.check_breaker(kind)
-        token_holder = yield self.borrower.window.acquire()
-        del token_holder
-        if delivery is not None:
-            slot_holder = yield delivery.slots.acquire()
-            del slot_holder
+        window = self.borrower.window
+        if not window.try_acquire():
+            yield window.acquire()
+        if delivery is not None and not delivery.slots.try_acquire():
+            yield delivery.slots.acquire()
         issue = sim.now
 
         request = Packet(

@@ -251,12 +251,23 @@ class Resource:
         """Number of free slots."""
         return self.capacity - self._in_use
 
-    def acquire(self) -> Waitable:
-        """Wait for a slot; the waitable value is a release token."""
-        req = Waitable(self.sim)
+    def try_acquire(self) -> bool:
+        """Take a free slot at once; False (nothing taken) when full.
+
+        The synchronous twin of :meth:`acquire` for callers that can
+        skip the waitable when a slot is free.  Waiters only exist
+        while every slot is held, so FIFO grant order is unaffected.
+        """
         if self._in_use < self.capacity:
             self._account()
             self._in_use += 1
+            return True
+        return False
+
+    def acquire(self) -> Waitable:
+        """Wait for a slot; the waitable value is a release token."""
+        req = Waitable(self.sim)
+        if self.try_acquire():
             req.trigger(self)
         else:
             self._waiters.append(req)
