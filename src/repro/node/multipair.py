@@ -375,6 +375,7 @@ class FailoverCoordinator:
         # Re-point the pair before the replay: page traffic and, after
         # resume, datapath legs both target the new lender.
         pair.lender = self.deployment.lender_nodes[new_index]
+        pair.obs.track_lender(pair.lender)
         pair.wire.lender_id = reservation.lender
         failover.lender_index = new_index
         self.events.append(

@@ -103,8 +103,10 @@ class Observability:
             TimelineSampler(cadence_ps) if metrics else None
         )
         self.profiler: Optional[LoopProfiler] = LoopProfiler() if profile else None
-        # Lender buses already folded into the metrics (shared lenders
-        # appear once per pair at finish time).
+        # Every lender bus this bundle tracks queue waits on, and those
+        # already folded into the metrics: pairs share lenders, and a
+        # pair that fails over leaves its old lender's bus behind.
+        self._lender_buses: list = []
         self._folded_buses: list = []
 
     # ------------------------------------------------------------------
@@ -122,8 +124,7 @@ class Observability:
                 label = type(system).__name__
         pid = self.tracer.begin_process(label) if self.tracer.enabled else 0
         sim = system.sim
-        if self.metrics_enabled:
-            system.lender.dram.bus.enable_queue_wait_tracking()
+        self.track_lender(system.lender)
         if self.timeline is not None:
             self.timeline.begin_run(label, sim.now)
             self._register_probes(system)
@@ -174,28 +175,39 @@ class Observability:
         if label is None:
             label = type(system).__name__
         pid = self.tracer.begin_process(label) if self.tracer.enabled else 0
-        if self.metrics_enabled:
-            system.lender.dram.bus.enable_queue_wait_tracking()
+        self.track_lender(system.lender)
         return pid
 
+    def track_lender(self, lender) -> None:
+        """Track queue waits on *lender*'s memory bus (metrics runs only).
+
+        Called at attach time and again whenever failover moves a pair
+        to another lender, so the run's ``lender.bus_queue_wait_ps``
+        covers every bus it used.
+        """
+        if not self.metrics_enabled:
+            return
+        bus = lender.dram.bus
+        bus.enable_queue_wait_tracking()
+        if not any(tracked is bus for tracked in self._lender_buses):
+            self._lender_buses.append(bus)
+
     def _fold_histograms(self, system) -> None:
-        """Merge the system's MSHR and lender-bus wait histograms.
+        """Merge the system's MSHR and the lender-bus wait histograms.
 
         Systems that share a lender share its bus histogram, so each
-        distinct bus is folded once per bundle.
+        distinct tracked bus is folded once per bundle.
         """
         metrics = self.metrics
         window_hist = getattr(system.borrower.window, "wait_hist", None)
         if window_hist is not None and window_hist.count:
             metrics.histogram("cpu.mshr_wait_ps").merge(window_hist)
-        bus = system.lender.dram.bus
-        bus_hist = bus.queue_wait_hist
-        if bus_hist is None or not bus_hist.count:
-            return
-        if any(folded is bus for folded in self._folded_buses):
-            return
-        self._folded_buses.append(bus)
-        metrics.histogram("lender.bus_queue_wait_ps").merge(bus_hist)
+        for bus in self._lender_buses:
+            bus_hist = bus.queue_wait_hist
+            if not bus_hist.count or any(folded is bus for folded in self._folded_buses):
+                continue
+            self._folded_buses.append(bus)
+            metrics.histogram("lender.bus_queue_wait_ps").merge(bus_hist)
 
     def finish_shared(self, system, pid: Optional[int] = None) -> None:
         """Close out a secondary shared-simulator system.
@@ -291,6 +303,9 @@ class NullObservability:
 
     def attach_shared(self, system, label: Optional[str] = None) -> int:
         return 0
+
+    def track_lender(self, lender) -> None:
+        return None
 
     def finish_system(self, system, pid: int = 0) -> None:
         return None

@@ -21,6 +21,7 @@ from repro.engine import DesPhaseDriver, Location
 from repro.errors import ReproError
 from repro.net.fabric import Fabric
 from repro.node.multipair import BeyondRackDeployment
+from repro.obs import Observability
 from repro.sim import RngStreams, Simulator
 from repro.units import microseconds, milliseconds
 from repro.workloads.stream import StreamConfig, StreamWorkload
@@ -338,6 +339,32 @@ class TestDeploymentFailover:
             deployment, _, _ = run_deployment("evacuate", CRASH_AT_30US)
             logs.append(json.dumps(deployment.coordinator.events, sort_keys=True))
         assert logs[0] == logs[1]
+
+    def test_evacuation_folds_both_lender_buses(self):
+        # The pair leaves l0 for l1 mid-run; the folded bus queue-wait
+        # histogram must hold every transfer either bus served.
+        obs = Observability(trace=False, metrics=True)
+        deployment = BeyondRackDeployment(
+            1,
+            cluster=paper_cluster_config(seed=77),
+            n_lenders=2,
+            lender_schedules={0: LenderFailureSchedule.single("crash", at=40 * US)},
+            failover=policy_by_name("evacuate"),
+            health=HealthParams(period_ps=20 * US),
+            obs=obs,
+        )
+        deployment.attach_all()
+        deployment.arm_failover()
+        program = StreamWorkload(StreamConfig(n_elements=10_000)).program(Location.REMOTE)
+        proc = DesPhaseDriver(deployment.pairs[0], program, instance="pair0").start()
+        deployment.sim.run()
+        deployment.finish_obs()
+        assert proc.ok
+        assert deployment.pairs[0].availability.evacuated_to == "l1"
+        served = [node.dram.bus.transfers for node in deployment.lender_nodes.values()]
+        assert all(n > 0 for n in served)
+        folded = obs.metrics.histograms["lender.bus_queue_wait_ps"]
+        assert folded.count == sum(served)
 
 
 class TestSweepDeterminism:
