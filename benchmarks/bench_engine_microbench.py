@@ -7,7 +7,6 @@ injector gate, the cache model, and the BFS kernel.
 """
 
 import numpy as np
-import pytest
 
 from repro.axi import SlotGate
 from repro.calibration import paper_cluster_config
@@ -20,34 +19,29 @@ from repro.workloads.graph500 import build_csr, kronecker_edges
 from repro.workloads.graph500.bfs import bfs
 
 
-#: Committed throughput floors (events/s) per event-queue kernel.
-#: Regression tripwires, not targets: set well below the rates a cold
+#: Committed throughput floor (events/s) of the event kernel.  A
+#: regression tripwire, not a target: set well below the rate a cold
 #: CI runner measures, so machine noise cannot flake the bench, while
-#: an accidental complexity regression in the kernel still trips them.
-#: (The old single hard-coded "baseline_events_per_s" drifted with
-#: every kernel optimization and asserted nothing.)
-KERNEL_FLOOR_EVENTS_PER_S = {"heap": 150_000, "calendar": 100_000}
+#: an accidental complexity regression in the kernel still trips it.
+KERNEL_FLOOR_EVENTS_PER_S = 150_000
 
 
-@pytest.mark.parametrize("kernel", ("heap", "calendar"))
-def test_microbench_event_kernel(benchmark, kernel):
-    """Raw event scheduling/dispatch rate of each DES kernel tier.
+def test_microbench_event_kernel(benchmark):
+    """Raw event scheduling/dispatch rate of the DES kernel.
 
-    The workload mixes near-horizon timeouts (calendar ring hits) with
-    far-future reschedules (spillover) so both tiers of the calendar
-    queue are exercised; the heap kernel runs the identical event
-    stream.
+    Two sleeping processes: one on short timeouts, one on timeouts far
+    beyond the other's horizon, so the heap holds a mix of near and far
+    entries.
     """
 
     def run():
-        sim = Simulator(kernel=kernel)
+        sim = Simulator()
 
         def near():
             for _ in range(8_000):
                 yield Timeout(sim, 1)
 
         def far():
-            # Beyond the calendar's ~2 us near-horizon: spillover path.
             for _ in range(2_000):
                 yield Timeout(sim, 3_000_000)
 
@@ -59,14 +53,11 @@ def test_microbench_event_kernel(benchmark, kernel):
     events = benchmark(run)
     assert events >= 10_000
     benchmark.extra_info["events_per_iteration"] = events
-    benchmark.extra_info["kernel"] = kernel
-    floor = KERNEL_FLOOR_EVENTS_PER_S[kernel]
+    floor = KERNEL_FLOOR_EVENTS_PER_S
     benchmark.extra_info["floor_events_per_s"] = floor
     stats = getattr(benchmark.stats, "stats", benchmark.stats)
     rate = events / stats.mean
-    assert rate >= floor, (
-        f"{kernel} kernel regressed: {rate:,.0f} events/s < floor {floor:,}"
-    )
+    assert rate >= floor, f"event kernel regressed: {rate:,.0f} events/s < floor {floor:,}"
 
 
 def test_microbench_slot_gate(benchmark):

@@ -123,8 +123,8 @@ class LintConfig:
     )
 
     #: Packages allowed to heap-order simulator event state (SIM012):
-    #: the kernel's own event-queue tiers (binary heap, calendar
-    #: spillover) are the single sanctioned ordered frontier.
+    #: the kernel's own event queue (binary heap plus same-time FIFO)
+    #: is the single sanctioned ordered frontier.
     heapq_sanctioned_fragments: tuple[str, ...] = ("repro/sim/",)
 
     #: Modules exempt from SIM011 literal-outage-window checks: the

@@ -934,7 +934,7 @@ class AdHocEventHeapRule(Rule):
     code = "SIM012"
     name = "ad-hoc-event-heap"
     rationale = (
-        "The kernel's event queue (heap or calendar tier) is the single "
+        "The kernel's event queue (one heap plus a same-time FIFO) is the single "
         "ordered frontier of simulated time: its (time, seq) total order, "
         "lazy-cancel accounting and snapshot format are what make runs "
         "bit-reproducible and restorable.  A module that schedules events "
