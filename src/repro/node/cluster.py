@@ -49,7 +49,7 @@ from repro.nic.timeout import DetectionWatchdog
 from repro.nic.translation import WindowMapping, WindowTranslator
 from repro.node.node import Node
 from repro.obs import NULL_OBS
-from repro.obs.tracer import datapath_blame_splits
+from repro.obs.tracer import ROW_ARQ, ROW_BLAMED
 from repro.sim import EventLog, Process, RngStreams, Signal, Simulator, StatRecorder, Timeout
 from repro.units import Duration, Time, format_time
 
@@ -57,6 +57,10 @@ __all__ = ["AccessResult", "ThymesisFlowSystem", "REMOTE", "EVACUATING", "LOCAL"
 
 #: Remote-service modes of the availability state machine.
 REMOTE, EVACUATING, LOCAL, CRASHED = "remote", "evacuating", "local", "crashed"
+
+#: Empty record columns: unblamed snapshots; an ARQ row's tail.
+_NO_SNAPSHOTS = (-1,) * 5
+_NO_STAGES = (-1,) * 8
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,9 @@ class ThymesisFlowSystem:
         Optional trace-process label for this run (sweep experiments
         pass their point key, e.g. ``"n=4"``); defaults to a
         class-name + PERIOD label.
+    obs_shared:
+        Attach as a secondary system of a shared simulator
+        (:meth:`repro.obs.Observability.attach_shared`).
     gate, wire, availability, delivery:
         Datapath stages (see the module docstring); ``None`` keeps the
         paper prototype's FIFO injector, private link, always-up
@@ -126,12 +133,15 @@ class ThymesisFlowSystem:
         delivery=None,
         lender: Optional[Node] = None,
         rng: Optional[RngStreams] = None,
+        obs_shared: bool = False,
     ) -> None:
         self.config = config
         self.sim = sim if sim is not None else Simulator()
         self.rng = rng if rng is not None else RngStreams(config.seed)
-        self.stats = StatRecorder(self.sim)
         self.obs = obs if obs is not None else NULL_OBS
+        self.stats = StatRecorder(
+            observed=self.obs.enabled, payload_bytes=config.borrower.cache.line_bytes
+        )
         self.log = EventLog(self.sim, capacity=1024)
 
         self.borrower = Node(self.sim, config.borrower)
@@ -174,7 +184,8 @@ class ThymesisFlowSystem:
             if stage is not None:
                 stage.bind(self)
         # After binding, so the timeline sees stage state (ARQ counters).
-        self._obs_pid = self.obs.attach_system(self, label=obs_label)
+        attach = self.obs.attach_shared if obs_shared else self.obs.attach_system
+        self._obs_pid = attach(self, label=obs_label)
 
     # ------------------------------------------------------------------
     # Control-plane operations
@@ -398,22 +409,33 @@ class ThymesisFlowSystem:
         self.borrower.window.release()
         if delivery is not None:
             delivery.delivered(kind, complete)
-        result = AccessResult(issue, complete, write, remote=True, retries=retries)
         if kind is not PacketKind.PROBE:
-            self.stats.sample("remote.latency_ps", result.latency)
-            self.stats.count("remote.transactions")
-            self.stats.count("remote.payload_bytes", self._line)
-            if self.obs.enabled:
-                if delivery is None:
-                    boundaries = (issue, valid_at, grant, arrive_lender, t, arrive_back, complete)
-                    if blaming:
-                        blame = (intrinsic, fwd_busy, mem_ready, bus_busy, rev_busy)
-                else:
-                    boundaries = (issue, complete)
-                self._record_request(
-                    request.seq, t_request, boundaries, blame if blaming else None, retries
+            # One row per transaction (columns: obs.tracer.RECORD_COLUMNS);
+            # stats, metrics, spans and blame are all derived from it.
+            if not self.obs.enabled:
+                row = (t_request, issue, complete)
+            elif delivery is None:
+                row = (
+                    t_request, issue, complete, request.seq, retries,
+                    ROW_BLAMED if blaming else 0, issue,
+                    valid_at, grant, arrive_lender, t, arrive_back,
+                ) + (
+                    (
+                        -1 if intrinsic is None else intrinsic,
+                        fwd_busy, mem_ready, bus_busy, rev_busy,
+                    )
+                    if blaming
+                    else _NO_SNAPSHOTS
                 )
-        return result
+            else:
+                attempt_start, valid_at, grant = blame
+                row = (
+                    t_request, issue, complete, request.seq, retries,
+                    ROW_ARQ | ROW_BLAMED if blaming else ROW_ARQ,
+                    attempt_start, valid_at, grant,
+                ) + _NO_STAGES
+            self.stats.rows.extend(row)
+        return AccessResult(issue, complete, write, remote=True, retries=retries)
 
     # ------------------------------------------------------------------
     # Mode machine: remote / evacuating / local / crashed
@@ -459,134 +481,6 @@ class ThymesisFlowSystem:
         signal, self._evac_signal = self._evac_signal, None
         if signal is not None:
             signal.trigger(None)
-
-    #: Datapath stage boundaries of one remote transaction, in order.
-    #: Every stage tiles [issue, complete] exactly, so the per-request
-    #: span decomposition sums to the reported end-to-end latency.
-    STAGE_NAMES = (
-        "egress.pipeline",  # OpenCAPI host interface + router/NIC pipeline
-        "egress.gate",      # delay injector (READY gating)
-        "wire.request",     # mux + packetizer + link serialization, borrower->lender
-        "lender.memory",    # window translation + lender bus/DRAM
-        "wire.response",    # link serialization, lender->borrower
-        "ingress.pipeline", # borrower NIC ingress + OpenCAPI return
-    )
-
-    def _record_request(
-        self, seq: int, t_request: Time, boundaries, blame=None, retries: int = 0
-    ) -> None:
-        """Report one transaction to the tracer/metrics.
-
-        Clean path: the seven stage *boundaries* and, for ``blame``, the
-        resource-idle snapshots the causal split derives from lazily.
-        ARQ path: ``(issue, complete)`` and the successful attempt's
-        ``(attempt_start, valid_at, grant)`` — its gate wait is
-        ``injected_delay``, the rest one coarse ``service`` interval
-        (faulty channels decide fates wholesale, not per stage).
-        """
-        obs = self.obs
-        issue, complete = boundaries[0], boundaries[-1]
-        staged = len(boundaries) > 2
-        tracer = obs.tracer
-        if tracer.enabled:
-            pid = self._obs_pid or 1
-            if staged:
-                if issue > t_request:
-                    tracer.add_span(
-                        "cpu.window",
-                        t_request,
-                        issue,
-                        pid=pid,
-                        track="cpu.window",
-                        cat="queue",
-                        args={"seq": seq},
-                    )
-                for i, name in enumerate(self.STAGE_NAMES):
-                    tracer.add_span(
-                        name,
-                        boundaries[i],
-                        boundaries[i + 1],
-                        pid=pid,
-                        track=name,
-                        args={"seq": seq},
-                    )
-                if blame is not None:
-                    # One tuple append per transaction: blame rows and
-                    # category sums are derived lazily from the staged
-                    # record (Tracer.blame / datapath_blame_splits), so
-                    # the hot path pays for staging only.
-                    tracer.blame_raw.append((pid, seq, boundaries, blame))
-            elif blame is not None:
-                attempt_start, valid_at, grant = blame
-                valid_at = min(max(valid_at, attempt_start), complete)
-                grant = min(max(grant, valid_at), complete)
-                for cat, start, end, resource in (
-                    ("service", attempt_start, valid_at, "nic.egress"),
-                    ("injected_delay", valid_at, grant, "delay.injector"),
-                    ("service", grant, complete, "datapath.round_trip"),
-                ):
-                    if end > start:
-                        tracer.add_blame(cat, start, end, pid=pid, seq=seq, resource=resource)
-            tracer.add_request(seq, issue, complete, pid=pid)
-        metrics = obs.metrics
-        metrics.observe("remote.latency_ps", complete - issue)
-        metrics.observe("cpu.window_wait_ps", issue - t_request)
-        if staged:
-            for i, name in enumerate(self.STAGE_NAMES):
-                metrics.observe(f"stage.{name}_ps", boundaries[i + 1] - boundaries[i])
-        if retries:
-            metrics.observe("transport.retries_per_txn", retries)
-        metrics.count("remote.transactions")
-
-    def flush_blame_metrics(self, metrics) -> None:
-        """Fold this run's blame sums into the registry as counters.
-
-        Called from :meth:`Observability.finish_system`.  The sums are
-        derived here, once per run, from the raw records the datapath
-        staged on ``tracer.blame_raw`` — the per-transaction hot path
-        never touches a histogram or computes a split.  The scan leaves
-        the staged records in place (attribution extraction reads them
-        too) and filters by this system's pid, since sweeps share one
-        tracer across points and shared-simulator experiments interleave
-        several systems' records.
-        """
-        tracer = self.obs.tracer
-        raw = getattr(tracer, "blame_raw", None)
-        if not raw:
-            return
-        pid = self._obs_pid or 1
-        service = injected = queued = contended = align = backlog = 0
-        for epid, _seq, boundaries, snapshots in raw:
-            if epid != pid:
-                continue
-            inj, qf, qr, cont, _ws, _bs, _rs, _mr = datapath_blame_splits(
-                boundaries, snapshots
-            )
-            q = qf + qr
-            service += (boundaries[6] - boundaries[0]) - inj - q - cont
-            queued += q
-            contended += cont
-            if inj:
-                injected += inj
-                # Sub-split of injected delay: grid alignment a lone
-                # transaction would see vs backlog behind earlier grants.
-                intrinsic = snapshots[0]
-                if intrinsic is not None:
-                    valid_at, grant = boundaries[1], boundaries[2]
-                    alignment = min(max(intrinsic, valid_at), grant)
-                    align += alignment - valid_at
-                    backlog += grant - alignment
-        for cat, total in (
-            ("contention", contended),
-            ("injected_delay", injected),
-            ("queue_wait", queued),
-            ("service", service),
-        ):
-            if total:
-                metrics.count(f"blame.{cat}_ps", total)
-        if align or backlog:
-            metrics.count("injector.alignment_ps", align)
-            metrics.count("injector.backlog_ps", backlog)
 
     def remote_access(
         self,

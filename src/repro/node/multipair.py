@@ -646,12 +646,12 @@ class BeyondRackDeployment:
             self.fabric.add_node(borrower_id)
             self.fabric.connect(borrower_id, "tor")
             label = f"{prefix}/b{i}"
-            pair_obs = self._obs if (self._obs is not None and i == 0) else None
             pair = ThymesisFlowSystem(
                 self.cluster,
                 sim=self.sim,
-                obs=pair_obs,
-                obs_label=label if pair_obs is not None else None,
+                obs=self._obs,
+                obs_label=label if self._obs is not None else None,
+                obs_shared=i > 0,
                 wire=FabricWire(self.fabric, borrower_id, f"l{lender}"),
                 availability=(
                     LenderFailover(self.coordinator, lender)
@@ -662,9 +662,6 @@ class BeyondRackDeployment:
                 lender=self.lender_nodes[lender],
                 rng=RngStreams(self.cluster.seed).spawn(borrower_id),
             )
-            if self._obs is not None and i > 0:
-                pair.obs = self._obs
-                pair._obs_pid = self._obs.attach_shared(pair, label=label)
             self.pairs.append(pair)
 
     def attach_all(self) -> None:

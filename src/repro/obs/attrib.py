@@ -1,18 +1,18 @@
 """Causal latency attribution over blame records.
 
-Instrumented sites emit *blame*: the ARQ transport and the structural
-NIC pipeline record rows via
-:meth:`~repro.obs.tracer.Tracer.add_blame` — compact
-``(pid, seq, category, start, end, resource)`` tuples whose category
-is one of :data:`~repro.obs.tracer.BLAME_CATEGORIES` and whose
-``resource`` carries the causal edge (what was waited on) — while the
-borrower datapath stages raw boundary/snapshot records that extraction
-decomposes arithmetically (:func:`~repro.obs.tracer.
-datapath_blame_splits`) and the tracer materializes into identical
-rows on demand.  Per request the blame tiles ``[issue, complete]``
-exactly, the same invariant the stage decomposition obeys, so the
-breakdown here is an *exact* accounting of end-to-end latency, not a
-sampling estimate.
+Blame comes from two places.  Sites that fire on something other than
+a completed transaction — ARQ retries, outages, fail-fast envelopes,
+the structural NIC pipeline — record rows via
+:meth:`~repro.obs.tracer.Tracer.add_blame`: compact ``(pid, seq,
+category, start, end, resource)`` tuples whose category is one of
+:data:`~repro.obs.tracer.BLAME_CATEGORIES` and whose ``resource``
+carries the causal edge (what was waited on).  Completed transactions
+are rows of each run's transaction record; extraction decomposes their
+columns arithmetically (:func:`~repro.obs.tracer.datapath_blame_splits`)
+and the tracer derives identical blame rows from them on demand.  Per
+request the blame tiles ``[issue, complete]`` exactly, the same
+invariant the stage decomposition obeys, so the breakdown here is an
+*exact* accounting of end-to-end latency, not a sampling estimate.
 
 This module turns those rows into:
 
@@ -42,8 +42,12 @@ from repro.obs.metrics import LogHistogram, MetricsRegistry
 from repro.obs.tracer import (
     BLAME_CATEGORIES,
     PS_PER_US,
+    ROW_ARQ,
+    ROW_BLAMED,
     Tracer,
     datapath_blame_splits,
+    derive_blame,
+    derive_requests,
 )
 
 __all__ = [
@@ -192,98 +196,42 @@ class AttributionResult:
                     for resource, ps in blocked.items():
                         tail[resource] = tail.get(resource, 0) + ps
 
-    def _fold_raw(self, entries) -> None:
-        """Fold staged datapath records — ``(seq, boundaries,
-        snapshots)`` tuples — without materializing rows or per-request
-        dicts.
+    def _fold_columns(self, cols) -> None:
+        """Fold clean, blamed transaction rows (record columns by name).
 
         Arithmetically equivalent to :meth:`_fold_requests` over the
-        rows :meth:`Tracer._materialize_blame` would build: the
-        category sums come straight from
-        :func:`~repro.obs.tracer.datapath_blame_splits` and the wait
-        resources of the borrower datapath are a fixed set, so each
-        request costs one splits call and a few count-dict updates.
-        The tiling is exact by construction (service is defined as the
+        blame rows the tracer derives from them: the category sums come
+        straight from :func:`~repro.obs.tracer.datapath_blame_splits`
+        and the wait resources of the borrower datapath are a fixed
+        set, so the whole fold is a handful of array operations.  The
+        tiling is exact by construction (service is defined as the
         remainder), so there is no mismatch to check.
         """
-        totals = self.totals_ps
-        lat_counts: Dict[int, int] = {}
-        cat_counts: Dict[Tuple[str, int], int] = {}
-        lat_get = lat_counts.get
-        cat_get = cat_counts.get
-        # Requests that waited, retained for the p99 tail pass.
-        retained: List[Tuple[int, int, int, int, int]] = []
-        retain = retained.append
-        t_service = t_inj = t_queue = t_cont = 0
-        r_inj = r_fwd = r_rev = r_cont = 0
-        for _seq, boundaries, snapshots in entries:
-            inj, qf, qr, cont, _ws, _bs, _rs, _mr = datapath_blame_splits(
-                boundaries, snapshots
-            )
-            latency = boundaries[6] - boundaries[0]
-            lat_counts[latency] = lat_get(latency, 0) + 1
-            queued = qf + qr
-            service = latency - inj - queued - cont
-            if service:
-                t_service += service
-                key = ("service", service)
-                cat_counts[key] = cat_get(key, 0) + 1
-            if inj or queued or cont:
-                if inj:
-                    t_inj += inj
-                    r_inj += inj
-                    key = ("injected_delay", inj)
-                    cat_counts[key] = cat_get(key, 0) + 1
-                if queued:
-                    t_queue += queued
-                    r_fwd += qf
-                    r_rev += qr
-                    key = ("queue_wait", queued)
-                    cat_counts[key] = cat_get(key, 0) + 1
-                if cont:
-                    t_cont += cont
-                    r_cont += cont
-                    key = ("contention", cont)
-                    cat_counts[key] = cat_get(key, 0) + 1
-                retain((latency, inj, qf, qr, cont))
-        self.requests += len(entries)
-        totals["service"] += t_service
-        totals["injected_delay"] += t_inj
-        totals["queue_wait"] += t_queue
-        totals["contention"] += t_cont
-        resources = self.resources_ps
-        for resource, total in (
-            ("delay.injector", r_inj),
-            ("link.forward", r_fwd),
-            ("link.reverse", r_rev),
-            ("lender.bus", r_cont),
+        inj, qf, qr, cont = datapath_blame_splits(cols)[:4]
+        latency = cols["complete"] - cols["issue"]
+        queued = qf + qr
+        self.requests += len(latency)
+        self.latency.record_all(latency)
+        for cat, values in (
+            ("service", latency - inj - queued - cont),
+            ("injected_delay", inj),
+            ("queue_wait", queued),
+            ("contention", cont),
         ):
-            if total:
-                resources[resource] = resources.get(resource, 0) + total
-        latency_record = self.latency.record
-        for latency, n in lat_counts.items():
-            latency_record(latency, n)
-        categories = self.categories
-        for (cat, ps), n in cat_counts.items():
-            categories[cat].record(ps, n)
-        if entries:
-            p99 = self.latency.percentile(99)
-            tail_inj = tail_fwd = tail_rev = tail_cont = 0
-            for latency, inj, qf, qr, cont in retained:
-                if latency >= p99:
-                    tail_inj += inj
-                    tail_fwd += qf
-                    tail_rev += qr
-                    tail_cont += cont
-            tail = self.tail_resources_ps
-            for resource, total in (
-                ("delay.injector", tail_inj),
-                ("link.forward", tail_fwd),
-                ("link.reverse", tail_rev),
-                ("lender.bus", tail_cont),
-            ):
+            self.totals_ps[cat] += int(values.sum())
+            self.categories[cat].record_all(values[values != 0])
+        waits = (
+            ("delay.injector", inj),
+            ("link.forward", qf),
+            ("link.reverse", qr),
+            ("lender.bus", cont),
+        )
+        tail = latency >= self.latency.percentile(99)
+        for sums, select in ((self.resources_ps, None), (self.tail_resources_ps, tail)):
+            for resource, values in waits:
+                total = int((values if select is None else values[select]).sum())
                 if total:
-                    tail[resource] = tail.get(resource, 0) + total
+                    sums[resource] = sums.get(resource, 0) + total
 
     def top_resources(self, n: int = 5) -> List[Tuple[str, int]]:
         """Top blocking resources (blocked ps) among p99-tail requests."""
@@ -332,99 +280,54 @@ def extract_attribution(
 ) -> List[AttributionResult]:
     """Critical-path extraction: one result per traced process.
 
-    Walks the recorded blame — staged datapath records
-    (``tracer.blame_raw``, decomposed arithmetically without ever
-    materializing rows) plus explicit rows (``tracer.blame_rows``, from
-    the ARQ transport and structural NIC) — groups it by ``(pid, seq)``,
-    and joins with the per-request envelopes.  Requests without blame
-    (e.g. fluid-mode points) are skipped, mirroring how
-    ``stage_sum_check`` skips requests without stage spans.
+    A process whose blame is only clean transaction rows folds their
+    record columns directly (:meth:`AttributionResult._fold_columns`).
+    Every other process — explicit rows from the ARQ transport, an
+    outage or the structural NIC, or ARQ transaction rows — has its
+    blame rows grouped by ``(pid, seq)`` and joined with the request
+    envelopes.  Requests without blame (e.g. fluid-mode points) are
+    skipped, mirroring how ``stage_sum_check`` skips requests without
+    stage spans.
     """
+    rows = list(tracer.blame_rows)
+    requests = list(tracer.live_requests)
+    row_pids = {row[0] for row in rows}
+    columns: Dict[int, dict] = {}
+    for pid, record in tracer.records.items():
+        cols = record.table()
+        flags = cols["flags"] & (ROW_ARQ | ROW_BLAMED)
+        if pid in row_pids or (flags == ROW_ARQ | ROW_BLAMED).any():
+            rows += derive_blame(pid, cols, {})
+            requests += derive_requests(pid, cols)
+        else:
+            blamed = flags == ROW_BLAMED
+            if blamed.any():
+                columns[pid] = {name: col[blamed] for name, col in cols.items()}
     per: Dict[Tuple[int, int], Tuple[Dict[str, int], Dict[str, int]]] = {}
-    per_get = per.get
-    # Staged datapath records, grouped per process (records of one pid
-    # are contiguous, so a one-slot cache replaces most dict probes).
-    raw_by_pid: Dict[int, List[Tuple[int, tuple, tuple]]] = {}
-    last_raw_pid = None
-    stage = None
-    for pid, seq, boundaries, snapshots in getattr(tracer, "blame_raw", ()):
-        if pid != last_raw_pid:
-            stage = raw_by_pid.setdefault(pid, []).append
-            last_raw_pid = pid
-        stage((seq, boundaries, snapshots))
-    # A request's rows are emitted contiguously, so cache the current
-    # request across iterations instead of a dict probe (and key-tuple
-    # build) per row.
-    last_pid = last_seq = None
-    by_category: Dict[str, int] = {}
-    blocked: Dict[str, int] = {}
-    rows = getattr(tracer, "blame_rows", None)
-    if rows is None:
-        # Duck-typed tracer without the split stores: take whatever its
-        # ``blame`` exposes (already-materialized rows).
-        rows = tracer.blame
     for pid, seq, cat, start, end, resource in rows:
-        if seq != last_seq or pid != last_pid:
-            key = (pid, seq)
-            entry = per_get(key)
-            if entry is None:
-                entry = per[key] = ({}, {})
-            by_category, blocked = entry
-            last_pid, last_seq = pid, seq
+        entry = per.get((pid, seq))
+        if entry is None:
+            entry = per[(pid, seq)] = ({}, {})
+        by_category, blocked = entry
         dur = end - start
         by_category[cat] = by_category.get(cat, 0) + dur
         if cat != "service":
             blocked[resource] = blocked.get(resource, 0) + dur
-    # A pid with both staged records and explicit rows (no current
-    # instrumentation mixes them) folds its records through the dict
-    # path instead, so each point aggregates — and takes its p99 tail
-    # pass — exactly once.
-    row_pids = {key[0] for key in per}
-    for pid in sorted(set(raw_by_pid) & row_pids):
-        for seq, boundaries, snapshots in raw_by_pid.pop(pid):
-            inj, qf, qr, cont, _ws, _bs, _rs, _mr = datapath_blame_splits(
-                boundaries, snapshots
-            )
-            key = (pid, seq)
-            entry = per_get(key)
-            if entry is None:
-                entry = per[key] = ({}, {})
-            by_category, blocked = entry
-            queued = 0
-            if inj > 0:
-                by_category["injected_delay"] = by_category.get("injected_delay", 0) + inj
-                blocked["delay.injector"] = blocked.get("delay.injector", 0) + inj
-            if qf > 0:
-                queued = qf
-                blocked["link.forward"] = blocked.get("link.forward", 0) + qf
-            if qr > 0:
-                queued += qr
-                blocked["link.reverse"] = blocked.get("link.reverse", 0) + qr
-            if queued:
-                by_category["queue_wait"] = by_category.get("queue_wait", 0) + queued
-            if cont > 0:
-                by_category["contention"] = by_category.get("contention", 0) + cont
-                blocked["lender.bus"] = blocked.get("lender.bus", 0) + cont
-            service = (boundaries[6] - boundaries[0]) - inj - queued - cont
-            if service:
-                by_category["service"] = by_category.get("service", 0) + service
     by_pid: Dict[int, List[Tuple[int, Dict[str, int], Dict[str, int]]]] = {}
-    for pid, seq, start, end, _args in tracer.requests:
-        entry = per_get((pid, seq))
+    for pid, seq, start, end, _args in requests:
+        entry = per.get((pid, seq))
         if entry is None:
             continue
         by_pid.setdefault(pid, []).append((end - start, entry[0], entry[1]))
     labels = tracer.processes
     results = []
-    for pid in sorted(set(by_pid) | set(raw_by_pid)):
+    for pid in sorted(set(by_pid) | set(columns)):
         label = labels[pid - 1] if 0 < pid <= len(labels) else f"run {pid}"
         result = AttributionResult(label=label)
-        raw_entries = raw_by_pid.get(pid)
-        if raw_entries is not None:
-            result._fold_raw(raw_entries)
-        row_entries = by_pid.get(pid)
-        if row_entries:
-            result._fold_requests(row_entries, tolerance_ps=tolerance_ps)
+        if pid in columns:
+            result._fold_columns(columns[pid])
+        else:
+            result._fold_requests(by_pid[pid], tolerance_ps=tolerance_ps)
         results.append(result)
     return results
 

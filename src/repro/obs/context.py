@@ -23,10 +23,21 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
+import numpy as np
+
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import LoopProfiler
 from repro.obs.timeline import TimelineSampler
-from repro.obs.tracer import NullTracer, Tracer, bridge_eventlog
+from repro.obs.tracer import (
+    ROW_ARQ,
+    ROW_BLAMED,
+    STAGE_BOUNDARIES,
+    STAGE_NAMES,
+    NullTracer,
+    Tracer,
+    bridge_eventlog,
+    datapath_blame_splits,
+)
 
 __all__ = ["Observability", "NullObservability", "NULL_OBS", "SimObserver"]
 
@@ -122,7 +133,7 @@ class Observability:
                 label = f"{type(system).__name__} PERIOD={period}"
             except AttributeError:
                 label = type(system).__name__
-        pid = self.tracer.begin_process(label) if self.tracer.enabled else 0
+        pid = self.tracer.begin_process(label, system.stats) if self.tracer.enabled else 0
         sim = system.sim
         self.track_lender(system.lender)
         if self.timeline is not None:
@@ -135,16 +146,18 @@ class Observability:
     def _register_probes(self, system) -> None:
         timeline = self.timeline
         assert timeline is not None
-        bus = system.lender.dram.bus
         window = system.borrower.window
         injector = system.injector
         sim = system.sim
+        # The lender bus is looked up on every sample: failover can move
+        # the pair to another lender mid-run.
         timeline.rate_probe(
-            "bandwidth_bytes_per_s", lambda: bus.bytes_served, scale=_PS_PER_S
+            "bandwidth_bytes_per_s", _bus_bytes_served(system), scale=_PS_PER_S
         )
         timeline.add_probe("mshr_occupancy", lambda: window.outstanding)
         timeline.add_probe(
-            "lender_bus_backlog_ps", lambda: max(0, bus.busy_until() - sim.now)
+            "lender_bus_backlog_ps",
+            lambda: max(0, system.lender.dram.bus.busy_until() - sim.now),
         )
         # Mean number of transactions stalled at the injector gate over
         # the row's interval (delta of summed wait time / elapsed).
@@ -174,7 +187,7 @@ class Observability:
         """
         if label is None:
             label = type(system).__name__
-        pid = self.tracer.begin_process(label) if self.tracer.enabled else 0
+        pid = self.tracer.begin_process(label, system.stats) if self.tracer.enabled else 0
         self.track_lender(system.lender)
         return pid
 
@@ -192,12 +205,12 @@ class Observability:
         if not any(tracked is bus for tracked in self._lender_buses):
             self._lender_buses.append(bus)
 
-    def _fold_histograms(self, system) -> None:
-        """Merge the system's MSHR and the lender-bus wait histograms.
-
-        Systems that share a lender share its bus histogram, so each
-        distinct tracked bus is folded once per bundle.
-        """
+    def _fold(self, system) -> None:
+        """Merge the system's MSHR and lender-bus wait histograms (each
+        distinct tracked bus once per bundle: systems that share a lender
+        share its bus), then derive the per-transaction histograms and
+        the ``remote.transactions``/``blame.*``/``injector.*`` counters
+        from its transaction record."""
         metrics = self.metrics
         window_hist = getattr(system.borrower.window, "wait_hist", None)
         if window_hist is not None and window_hist.count:
@@ -208,23 +221,64 @@ class Observability:
                 continue
             self._folded_buses.append(bus)
             metrics.histogram("lender.bus_queue_wait_ps").merge(bus_hist)
+        record = system.stats
+        if not len(record):
+            return
+        cols = record.table()
+        issue = cols["issue"]
+        metrics.histogram("remote.latency_ps").record_all(cols["complete"] - issue)
+        metrics.histogram("cpu.window_wait_ps").record_all(issue - cols["t_request"])
+        flags = cols["flags"]
+        clean = (flags & ROW_ARQ) == 0
+        if clean.any():
+            bounds = [cols[name][clean] for name in STAGE_BOUNDARIES]
+            for name, start, end in zip(STAGE_NAMES, bounds, bounds[1:]):
+                metrics.histogram(f"stage.{name}_ps").record_all(end - start)
+        retries = cols["retries"]
+        retries = retries[retries != 0]
+        if len(retries):
+            metrics.histogram("transport.retries_per_txn").record_all(retries)
+        metrics.count("remote.transactions", len(record))
+        blamed = (flags & (ROW_ARQ | ROW_BLAMED)) == ROW_BLAMED
+        if not blamed.any():
+            return
+        cols = {name: col[blamed] for name, col in cols.items()}
+        inj, qf, qr, cont = datapath_blame_splits(cols)[:4]
+        queued = qf + qr
+        latency = cols["complete"] - cols["issue"]
+        for cat, values in (
+            ("contention", cont),
+            ("injected_delay", inj),
+            ("queue_wait", queued),
+            ("service", latency - inj - queued - cont),
+        ):
+            total = int(values.sum())
+            if total:
+                metrics.count(f"blame.{cat}_ps", total)
+        # Sub-split of injected delay: grid alignment a lone transaction
+        # would see vs backlog behind earlier grants.
+        intrinsic = cols["intrinsic_grant"]
+        known = (inj != 0) & (intrinsic != -1)
+        valid_at, grant = cols["valid_at"][known], cols["grant"][known]
+        alignment = np.minimum(np.maximum(intrinsic[known], valid_at), grant)
+        align = int((alignment - valid_at).sum())
+        backlog = int((grant - alignment).sum())
+        if align or backlog:
+            metrics.count("injector.alignment_ps", align)
+            metrics.count("injector.backlog_ps", backlog)
 
     def finish_shared(self, system, pid: Optional[int] = None) -> None:
         """Close out a secondary shared-simulator system.
 
-        Folds the system's histograms, stat gauges, and staged blame
-        sums — everything :meth:`finish_system` does *except* the
-        timeline flush and observer teardown, which belong to the
+        Folds the system's histograms and transaction record —
+        everything :meth:`finish_system` does *except* the stat gauges,
+        the timeline flush and observer teardown, which belong to the
         deployment's primary pair (finish it last).
         """
         if pid is None:
             pid = getattr(system, "_obs_pid", 1) or 1
         if self.metrics_enabled:
-            metrics = self.metrics
-            self._fold_histograms(system)
-            flush_blame = getattr(system, "flush_blame_metrics", None)
-            if flush_blame is not None:
-                flush_blame(metrics)
+            self._fold(system)
         log = getattr(system, "log", None)
         if log is not None and self.tracer.enabled:
             bridge_eventlog(self.tracer, log, pid=pid)
@@ -237,18 +291,12 @@ class Observability:
         if self.timeline is not None:
             self.timeline.flush_run(system.sim.now)
         if self.metrics_enabled:
-            metrics = self.metrics
-            self._fold_histograms(system)
-            # StatRecorder.summary() now reports tail percentiles; fold
-            # the run's flat summary in as gauges so exported metrics
-            # carry the same numbers the experiment printed.
+            self._fold(system)
+            # The run's flat summary (tail percentiles included) goes in
+            # as gauges, so exported metrics carry the numbers the
+            # experiment printed.
             for key, value in system.stats.summary().items():
-                metrics.gauge(f"stats.{key}", value)
-            # Blame sums accumulate on the system during the run (hot
-            # path); fold them into counters once here.
-            flush_blame = getattr(system, "flush_blame_metrics", None)
-            if flush_blame is not None:
-                flush_blame(metrics)
+                self.metrics.gauge(f"stats.{key}", value)
         log = getattr(system, "log", None)
         if log is not None and self.tracer.enabled:
             bridge_eventlog(self.tracer, log, pid=pid)
@@ -283,6 +331,23 @@ class Observability:
         if path.endswith(".csv"):
             return self.timeline.write_csv(path)
         return self.timeline.write_jsonl(path, summary=self.metrics.dump())
+
+
+def _bus_bytes_served(system):
+    """Bytes served by *system*'s current lender bus, as one counter:
+    re-based when failover moves the pair to another lender."""
+    bus = system.lender.dram.bus
+    base = 0
+
+    def served() -> int:
+        nonlocal bus, base
+        current = system.lender.dram.bus
+        if current is not bus:
+            base += bus.bytes_served - current.bytes_served
+            bus = current
+        return base + current.bytes_served
+
+    return served
 
 
 class NullObservability:

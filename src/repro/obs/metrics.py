@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
     "LogHistogram",
     "MetricsRegistry",
@@ -101,6 +103,17 @@ class LogHistogram:
             return
         idx = int(math.floor(math.log2(value / self.min_value) * self.buckets_per_octave))
         self._buckets[idx] = self._buckets.get(idx, 0) + n
+
+    def record_all(self, values) -> None:
+        """Record every element of the array *values*.
+
+        Each distinct value is recorded once with its count, which
+        leaves the buckets, and for integer samples the exact sum,
+        identical to recording the elements one by one.
+        """
+        distinct, counts = np.unique(values, return_counts=True)
+        for value, n in zip(distinct.tolist(), counts.tolist()):
+            self.record(value, n)
 
     def merge(self, other: "LogHistogram") -> None:
         """Fold *other*'s samples into this histogram (same geometry only)."""

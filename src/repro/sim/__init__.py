@@ -9,7 +9,8 @@ SimPy, specialized for this project:
   (:class:`Timeout`, :class:`Signal`, another :class:`Process`,
   :class:`~repro.sim.resources.Store` operations, ...),
 * named, reproducible RNG streams (:mod:`repro.sim.rng`),
-* lightweight statistics recording (:mod:`repro.sim.trace`).
+* statistics recording and the per-run transaction record
+  (:mod:`repro.sim.trace`).
 """
 
 from repro.sim.core import EventHandle, Simulator
@@ -17,7 +18,7 @@ from repro.sim.eventlog import EventLog, LogEntry
 from repro.sim.process import AllOf, AnyOf, Process, Signal, Timeout, Waitable
 from repro.sim.resources import RateSchedule, Resource, Store
 from repro.sim.rng import RngStreams
-from repro.sim.trace import SampleSeries, StatRecorder, TimeWeightedValue
+from repro.sim.trace import SampleSeries, StatRecorder
 
 __all__ = [
     "Simulator",
@@ -34,7 +35,6 @@ __all__ = [
     "RngStreams",
     "StatRecorder",
     "SampleSeries",
-    "TimeWeightedValue",
     "EventLog",
     "LogEntry",
 ]

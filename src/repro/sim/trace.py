@@ -1,29 +1,26 @@
-"""Lightweight statistics recording for simulation components.
-
-Three primitives cover everything the experiments need:
+"""Statistics recording for simulation components.
 
 :class:`SampleSeries`
     A growable array of scalar samples (e.g. per-request latencies) with
     percentile/mean reductions done vectorized in NumPy at read time.
-:class:`TimeWeightedValue`
-    A piecewise-constant signal (e.g. queue depth) integrated over
-    simulated time.
 :class:`StatRecorder`
-    A named registry of counters, series, and time-weighted values owned
-    by one simulation run.
+    One run's counters plus its transaction record: one append-only
+    ``array('q')`` row per completed remote transaction, from which the
+    latency series, the summary, the metrics histograms and the trace
+    are all derived when read.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.obs.metrics import DEFAULT_PERCENTILES, LogHistogram, percentile_key
-from repro.sim.core import Simulator
-from repro.units import Time
+from repro.obs.tracer import RECORD_COLUMNS
 
-__all__ = ["SampleSeries", "TimeWeightedValue", "StatRecorder"]
+__all__ = ["SampleSeries", "StatRecorder"]
 
 
 class SampleSeries:
@@ -31,15 +28,16 @@ class SampleSeries:
 
     Samples are buffered in a Python list and materialized into a NumPy
     array lazily — appends are O(1) and reductions are vectorized, per
-    the project's HPC style guides.
+    the project's HPC style guides.  A series built from a *values*
+    array is a read-only snapshot of it.
     """
 
     __slots__ = ("name", "_buf", "_arr")
 
-    def __init__(self, name: str = "") -> None:
+    def __init__(self, name: str = "", values: Optional[np.ndarray] = None) -> None:
         self.name = name
-        self._buf: list[float] = []
-        self._arr: Optional[np.ndarray] = None
+        self._buf = [] if values is None else values
+        self._arr: Optional[np.ndarray] = values
 
     def add(self, value: float) -> None:
         """Record one sample."""
@@ -63,129 +61,103 @@ class SampleSeries:
 
     def mean(self) -> float:
         """Arithmetic mean (NaN when empty)."""
-        return float(self.values.mean()) if self._buf else float("nan")
+        return float(self.values.mean()) if len(self) else float("nan")
 
     def sum(self) -> float:
         """Sum of samples."""
-        return float(self.values.sum()) if self._buf else 0.0
+        return float(self.values.sum()) if len(self) else 0.0
 
     def percentile(self, q: float) -> float:
         """The *q*-th percentile (0-100)."""
-        if not self._buf:
+        if not len(self):
             return float("nan")
         return float(np.percentile(self.values, q))
 
     def max(self) -> float:
         """Largest sample (NaN when empty)."""
-        return float(self.values.max()) if self._buf else float("nan")
+        return float(self.values.max()) if len(self) else float("nan")
 
     def min(self) -> float:
         """Smallest sample (NaN when empty)."""
-        return float(self.values.min()) if self._buf else float("nan")
-
-
-class TimeWeightedValue:
-    """Integrates a piecewise-constant signal over simulated time."""
-
-    __slots__ = ("sim", "name", "_value", "_last_time", "_integral", "_start")
-
-    def __init__(self, sim: Simulator, initial: float = 0.0, name: str = "") -> None:
-        self.sim = sim
-        self.name = name
-        self._value = initial
-        self._last_time: Time = sim.now
-        self._integral = 0.0
-        self._start: Time = sim.now
-
-    @property
-    def value(self) -> float:
-        """Current signal level."""
-        return self._value
-
-    def set(self, value: float) -> None:
-        """Change the signal level at the current simulated time."""
-        now = self.sim.now
-        self._integral += self._value * (now - self._last_time)
-        self._last_time = now
-        self._value = value
-
-    def adjust(self, delta: float) -> None:
-        """Add *delta* to the signal level."""
-        self.set(self._value + delta)
-
-    def time_average(self) -> float:
-        """Mean level from creation until now (NaN if no time elapsed)."""
-        now = self.sim.now
-        elapsed = now - self._start
-        if elapsed <= 0:
-            return float("nan")
-        integral = self._integral + self._value * (now - self._last_time)
-        return integral / elapsed
+        return float(self.values.min()) if len(self) else float("nan")
 
 
 class StatRecorder:
-    """Named registry of counters, sample series and time-weighted values.
+    """One run's counters and transaction record.
 
-    Each sample series is shadowed by a
-    :class:`~repro.obs.metrics.LogHistogram`, so :meth:`summary` can
-    report tail percentiles (p50/p95/p99) in O(buckets) regardless of
-    sample count — the paper's comparisons (Clio, DRackSim) report
-    tails, not just means.
+    Each completed non-probe remote transaction appends one row to
+    :attr:`rows`, a flat ``array('q')`` holding the first :attr:`width`
+    of :data:`~repro.obs.tracer.RECORD_COLUMNS`: ``(t_request, issue,
+    complete)`` unobserved, every column when observed, so the trace,
+    attribution and metrics can be derived later.  The
+    ``remote.transactions``/``remote.payload_bytes`` counters and the
+    ``remote.latency_ps`` series are read off the rows.
     """
 
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self.counters: Dict[str, float] = {}
-        self.series: Dict[str, SampleSeries] = {}
-        self.histograms: Dict[str, LogHistogram] = {}
-        self.levels: Dict[str, TimeWeightedValue] = {}
+    def __init__(self, observed: bool = False, payload_bytes: int = 0) -> None:
+        self.width = len(RECORD_COLUMNS) if observed else 3
+        self.rows = array("q")
+        self.payload_bytes = payload_bytes
+        self._counters: Dict[str, float] = {}
+
+    def __len__(self) -> int:
+        """Recorded transactions."""
+        return len(self.rows) // self.width
 
     def count(self, name: str, amount: float = 1.0) -> None:
         """Increment counter *name* by *amount*."""
-        self.counters[name] = self.counters.get(name, 0.0) + amount
+        self._counters[name] = self._counters.get(name, 0.0) + amount
 
-    def sample(self, name: str, value: float) -> None:
-        """Append *value* to sample series *name*."""
-        series = self.series.get(name)
-        if series is None:
-            series = self.series[name] = SampleSeries(name)
-            self.histograms[name] = LogHistogram()
-        series.add(value)
-        self.histograms[name].record(value)
+    @property
+    def counters(self) -> Dict[str, float]:
+        """Every counter, including the two the record implies."""
+        out = dict(self._counters)
+        n = len(self)
+        if n:
+            out["remote.transactions"] = float(n)
+            out["remote.payload_bytes"] = float(n * self.payload_bytes)
+        return out
 
-    def level(self, name: str) -> TimeWeightedValue:
-        """Return (creating if needed) the time-weighted value *name*."""
-        lvl = self.levels.get(name)
-        if lvl is None:
-            lvl = self.levels[name] = TimeWeightedValue(self.sim, name=name)
-        return lvl
+    def column(self, name: str) -> np.ndarray:
+        """Column *name* of every row, as a fresh int64 array."""
+        return np.frombuffer(
+            self.rows[RECORD_COLUMNS.index(name) :: self.width], dtype=np.int64
+        )
+
+    def table(self) -> Dict[str, np.ndarray]:
+        """Every column, by name."""
+        return {name: self.column(name) for name in RECORD_COLUMNS[: self.width]}
 
     def get_series(self, name: str) -> SampleSeries:
-        """Return series *name*, creating an empty one if absent."""
-        series = self.series.get(name)
-        if series is None:
-            series = self.series[name] = SampleSeries(name)
-        return series
+        """Sample series *name* (empty unless it is ``remote.latency_ps``).
+
+        The latency series is a snapshot of the rows, in completion
+        order.
+        """
+        if name != "remote.latency_ps" or not len(self):
+            return SampleSeries(name)
+        latency = self.column("complete") - self.column("issue")
+        return SampleSeries(name, latency.astype(np.float64))
 
     def summary(self, percentiles: Optional[Sequence[float]] = None) -> Dict[str, float]:
-        """Flat dict of counters plus per-series reductions.
+        """Flat dict of counters plus the latency series' reductions.
 
-        Each non-empty series contributes ``.mean``/``.count`` (exact)
-        and percentile keys (default ``.p50``/``.p95``/``.p99``) plus
-        ``.max``, read from its shadow histogram (percentiles carry
-        the histogram's bounded relative error; ``.max`` is exact).
-        Percentile naming follows
-        :func:`repro.obs.metrics.percentile_key`, the same convention
-        ``LogHistogram.summary()`` and ``repro obs report`` use.
+        ``remote.latency_ps`` contributes ``.mean``/``.count``/``.max``
+        (exact) and tail percentiles (default ``.p50``/``.p95``/
+        ``.p99``, named by :func:`repro.obs.metrics.percentile_key`)
+        from a log-bucketed histogram — the paper's comparisons (Clio,
+        DRackSim) report tails, not just means.
         """
         pcts = DEFAULT_PERCENTILES if percentiles is None else percentiles
-        out: Dict[str, float] = dict(self.counters)
-        for name, series in self.series.items():
-            if len(series):
-                hist = self.histograms[name]
-                out[f"{name}.mean"] = series.mean()
-                out[f"{name}.count"] = float(len(series))
-                for p in pcts:
-                    out[f"{name}.{percentile_key(p)}"] = hist.percentile(p)
-                out[f"{name}.max"] = hist.max
+        out: Dict[str, float] = self.counters
+        name = "remote.latency_ps"
+        series = self.get_series(name)
+        if len(series):
+            hist = LogHistogram()
+            hist.record_all(series.values)
+            out[f"{name}.mean"] = series.mean()
+            out[f"{name}.count"] = float(len(series))
+            for p in pcts:
+                out[f"{name}.{percentile_key(p)}"] = hist.percentile(p)
+            out[f"{name}.max"] = hist.max
         return out

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.calibration import paper_cluster_config
@@ -18,7 +19,15 @@ from repro.obs.attrib import (
     render_attrib,
     write_sidecar,
 )
-from repro.obs.tracer import BLAME_CATEGORIES, Tracer
+from repro.obs.tracer import (
+    BLAME_CATEGORIES,
+    ROW_BLAMED,
+    Tracer,
+    datapath_blame_splits,
+    derive_blame,
+    derive_requests,
+)
+from repro.sim import StatRecorder
 from repro.workloads.stream import StreamConfig
 
 
@@ -223,6 +232,71 @@ class TestSidecarAndDiff:
         assert not diff.identical
 
 
+def _scalar_splits(row):
+    """Per-row reference for :func:`datapath_blame_splits`."""
+    valid_at, grant, arrive_lender, t_mem, arrive_back = (
+        row["valid_at"], row["grant"], row["arrive_lender"], row["t_mem"], row["arrive_back"]
+    )
+    mem_ready = row["mem_ready"]
+    if mem_ready < arrive_lender:
+        mem_ready = arrive_lender
+    elif mem_ready > t_mem:
+        mem_ready = t_mem
+    wire_start = min(max(row["forward_busy"], grant), arrive_lender)
+    bus_start = min(max(row["bus_busy"], mem_ready), t_mem)
+    rev_start = min(max(row["reverse_busy"], t_mem), arrive_back)
+    return (
+        grant - valid_at, wire_start - grant, rev_start - t_mem, bus_start - mem_ready,
+        wire_start, bus_start, rev_start, mem_ready,
+    )
+
+
+def _random_clean_record(n=400, seed=5):
+    """Blamed clean rows with ordered boundaries and snapshots that land
+    before, inside and past the segments they are clamped into."""
+    rng = np.random.default_rng(seed)
+    record = StatRecorder(observed=True)
+    for seq in range(n):
+        steps = rng.integers(0, 5_000, size=7).cumsum()
+        t_request = int(steps[0])
+        bounds = [int(t_request + x) for x in rng.integers(0, 3_000, size=7).cumsum()]
+        snaps = [int(b + d) for b, d in zip(bounds[1:6], rng.integers(-4_000, 4_000, size=5))]
+        snaps[0] = -1 if seq % 7 == 0 else snaps[0]  # intrinsic grant unknown
+        issue, valid_at, grant, arrive_lender, t_mem, arrive_back, complete = bounds
+        record.rows.extend(
+            (t_request, issue, complete, seq, 0, ROW_BLAMED, issue,
+             valid_at, grant, arrive_lender, t_mem, arrive_back, *snaps)
+        )
+    return record
+
+
+class TestRecordArithmetic:
+    def test_vectorized_splits_match_scalar_reference(self):
+        cols = _random_clean_record().table()
+        splits = datapath_blame_splits(cols)
+        for r in range(len(cols["seq"])):
+            row = {name: int(col[r]) for name, col in cols.items()}
+            assert tuple(int(s[r]) for s in splits) == _scalar_splits(row)
+
+    def test_column_fold_matches_per_request_fold(self):
+        cols = _random_clean_record().table()
+        fast = AttributionResult()
+        fast._fold_columns(cols)
+        per = {}
+        for pid, seq, cat, start, end, resource in derive_blame(1, cols, {}):
+            by_category, blocked = per.setdefault(seq, ({}, {}))
+            by_category[cat] = by_category.get(cat, 0) + end - start
+            if cat != "service":
+                blocked[resource] = blocked.get(resource, 0) + end - start
+        slow = AttributionResult()
+        slow._fold_requests(
+            [(end - start, *per[seq]) for _pid, seq, start, end, _a in derive_requests(1, cols)]
+        )
+        assert fast.to_point() == slow.to_point()
+        assert fast.resources_ps == slow.resources_ps
+        assert fast.tail_resources_ps == slow.tail_resources_ps
+
+
 class TestAggregation:
     def test_top_resources_ranked_by_blocked_time(self):
         blames = [
@@ -291,7 +365,7 @@ class TestCliSurface:
 
         path = str(tmp_path / "fig2.attrib.json")
         assert (
-            main(["run", "fig2", "--quick", "--mode", "des", "--attrib-out", path]) == 0
+            main(["run", "fig2", "--quick", "--engine", "des", "--attrib-out", path]) == 0
         )
         doc = load_sidecar(path)
         assert doc["experiment"] == "fig2"

@@ -340,9 +340,9 @@ class TestDeploymentFailover:
             logs.append(json.dumps(deployment.coordinator.events, sort_keys=True))
         assert logs[0] == logs[1]
 
-    def test_evacuation_folds_both_lender_buses(self):
-        # The pair leaves l0 for l1 mid-run; the folded bus queue-wait
-        # histogram must hold every transfer either bus served.
+    @staticmethod
+    def _observed_evacuation():
+        """One pair leaves l0 (crashed at 40us) for l1, metrics on."""
         obs = Observability(trace=False, metrics=True)
         deployment = BeyondRackDeployment(
             1,
@@ -361,10 +361,32 @@ class TestDeploymentFailover:
         deployment.finish_obs()
         assert proc.ok
         assert deployment.pairs[0].availability.evacuated_to == "l1"
+        return deployment, obs
+
+    def test_evacuation_folds_both_lender_buses(self):
+        # The pair leaves l0 for l1 mid-run; the folded bus queue-wait
+        # histogram must hold every transfer either bus served.
+        deployment, obs = self._observed_evacuation()
         served = [node.dram.bus.transfers for node in deployment.lender_nodes.values()]
         assert all(n > 0 for n in served)
         folded = obs.metrics.histograms["lender.bus_queue_wait_ps"]
         assert folded.count == sum(served)
+
+    def test_evacuated_timeline_reads_the_new_lender_bus(self):
+        # After evacuation the bandwidth probe must follow the pair to
+        # l1 instead of reading the dead l0's idle bus.
+        deployment, obs = self._observed_evacuation()
+        (done_at,) = [
+            e["at_ps"]
+            for e in deployment.coordinator.events
+            if e["event"] == "evacuation_done"
+        ]
+        after = [row for row in obs.timeline.rows if row["t_ps"] > done_at]
+        assert after
+        assert deployment.lender_nodes[1].dram.bus.transfers > 0
+        assert sum(row["bandwidth_bytes_per_s"] > 0 for row in after) > len(after) // 2
+        assert all(row["bandwidth_bytes_per_s"] >= 0 for row in obs.timeline.rows)
+        assert any(row["lender_bus_backlog_ps"] > 0 for row in after)
 
 
 class TestSweepDeterminism:

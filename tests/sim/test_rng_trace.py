@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.sim import RngStreams, SampleSeries, Simulator, StatRecorder, TimeWeightedValue
+from repro.obs.metrics import LogHistogram
+from repro.obs.tracer import RECORD_COLUMNS
+from repro.sim import RngStreams, SampleSeries, StatRecorder
 
 
 class TestRngStreams:
@@ -72,75 +74,64 @@ class TestSampleSeries:
         assert s.values.dtype == np.float64
 
 
-class TestTimeWeightedValue:
-    def test_time_average_piecewise(self):
-        sim = Simulator()
-        lvl = TimeWeightedValue(sim, initial=0.0)
-
-        def proc():
-            yield sim.timeout(10)
-            lvl.set(4.0)
-            yield sim.timeout(10)
-            lvl.set(0.0)
-            yield sim.timeout(20)
-
-        sim.process(proc())
-        sim.run()
-        # 10ps at 0, 10ps at 4, 20ps at 0 -> 40/40 = 1.0
-        assert lvl.time_average() == pytest.approx(1.0)
-
-    def test_adjust(self):
-        sim = Simulator()
-        lvl = TimeWeightedValue(sim, initial=1.0)
-        lvl.adjust(2.0)
-        assert lvl.value == 3.0
-
-    def test_no_elapsed_time_is_nan(self):
-        sim = Simulator()
-        lvl = TimeWeightedValue(sim)
-        assert math.isnan(lvl.time_average())
+def _recorder(latencies, **kwargs) -> StatRecorder:
+    """A recorder holding one transaction row per latency."""
+    rec = StatRecorder(**kwargs)
+    for i, latency in enumerate(latencies):
+        rec.rows.extend((i, i, i + latency))
+    return rec
 
 
 class TestStatRecorder:
     def test_counters(self):
-        rec = StatRecorder(Simulator())
+        rec = StatRecorder()
         rec.count("reads")
         rec.count("reads", 2)
         assert rec.counters["reads"] == 3
 
     def test_samples_and_summary(self):
-        rec = StatRecorder(Simulator())
-        rec.sample("latency", 10.0)
-        rec.sample("latency", 20.0)
+        rec = _recorder([10, 20], payload_bytes=128)
         summary = rec.summary()
-        assert summary["latency.mean"] == 15.0
-        assert summary["latency.count"] == 2
+        assert summary["remote.latency_ps.mean"] == 15.0
+        assert summary["remote.latency_ps.count"] == 2
+        assert summary["remote.transactions"] == 2
+        assert summary["remote.payload_bytes"] == 256
 
     def test_summary_reports_tail_percentiles(self):
-        rec = StatRecorder(Simulator())
-        for v in range(1, 1001):
-            rec.sample("latency", float(v))
+        rec = _recorder(range(1, 1001))
         summary = rec.summary()
-        assert summary["latency.max"] == 1000.0  # exact
+        assert summary["remote.latency_ps.max"] == 1000.0  # exact
         # Histogram-backed percentiles: bounded relative error (~9%).
-        assert summary["latency.p50"] == pytest.approx(500.0, rel=0.10)
-        assert summary["latency.p95"] == pytest.approx(950.0, rel=0.10)
-        assert summary["latency.p99"] == pytest.approx(990.0, rel=0.10)
+        assert summary["remote.latency_ps.p50"] == pytest.approx(500.0, rel=0.10)
+        assert summary["remote.latency_ps.p95"] == pytest.approx(950.0, rel=0.10)
+        assert summary["remote.latency_ps.p99"] == pytest.approx(990.0, rel=0.10)
 
     def test_summary_percentiles_match_shadow_histogram(self):
-        rec = StatRecorder(Simulator())
+        """The summary's percentiles are a LogHistogram's over the rows."""
+        rec = _recorder([5, 50, 500])
+        hist = LogHistogram()
         for v in (5.0, 50.0, 500.0):
-            rec.sample("lat", v)
-        hist = rec.histograms["lat"]
+            hist.record(v)
         summary = rec.summary()
-        assert summary["lat.p50"] == hist.percentile(50)
-        assert summary["lat.p99"] == hist.percentile(99)
-
-    def test_level_registry(self):
-        sim = Simulator()
-        rec = StatRecorder(sim)
-        assert rec.level("q") is rec.level("q")
+        assert summary["remote.latency_ps.p50"] == hist.percentile(50)
+        assert summary["remote.latency_ps.p99"] == hist.percentile(99)
 
     def test_get_series_creates_empty(self):
-        rec = StatRecorder(Simulator())
+        rec = StatRecorder()
         assert len(rec.get_series("nothing")) == 0
+        assert len(rec.get_series("remote.latency_ps")) == 0
+        assert "remote.transactions" not in rec.counters
+
+    def test_latency_series_in_completion_order(self):
+        rec = _recorder([30, 10, 20])
+        assert rec.get_series("remote.latency_ps").values.tolist() == [30.0, 10.0, 20.0]
+        assert rec.column("complete").tolist() == [30, 11, 22]
+
+    def test_observed_rows_keep_every_column(self):
+        rec = StatRecorder(observed=True)
+        assert rec.width == len(RECORD_COLUMNS)
+        rec.rows.extend(range(len(RECORD_COLUMNS)))
+        assert len(rec) == 1
+        assert {name: int(col[0]) for name, col in rec.table().items()} == {
+            name: i for i, name in enumerate(RECORD_COLUMNS)
+        }
