@@ -3,12 +3,12 @@
 Usage::
 
     repro-experiments list
-    repro-experiments run fig2 --mode des
+    repro-experiments run fig2 --engine des
     repro-experiments run fig2 --quick --trace-out run.trace.json \\
         --metrics-out metrics.jsonl --profile
     repro-experiments obs report run.trace.json --metrics metrics.jsonl
     repro-experiments run fig6 --workers 8 --cache
-    repro-experiments all --mode fluid --workers 4
+    repro-experiments all --engine fluid --workers 4
     repro-experiments cache stats
     repro-experiments run fig5 --journal --checkpoint-every 5
     repro-experiments sweep resume fig5
@@ -56,9 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one experiment")
     run_p.add_argument("experiment", help="experiment id (fig2..fig7, table1, ablation-*)")
     run_p.add_argument(
-        "--mode",
         "--engine",
-        dest="mode",
         choices=("des", "fluid", "hybrid"),
         default=None,
         help=(
@@ -190,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     all_p = sub.add_parser("all", help="run every experiment")
     all_p.add_argument(
-        "--mode", "--engine", dest="mode", choices=("des", "fluid", "hybrid"), default=None
+        "--engine", choices=("des", "fluid", "hybrid"), default=None
     )
     all_p.add_argument("--quick", action="store_true")
     _add_perf_arguments(all_p)
@@ -205,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     resume_p.add_argument("experiment", help="experiment id of the interrupted run")
     resume_p.add_argument(
-        "--mode", "--engine", dest="mode", choices=("des", "fluid", "hybrid"), default=None
+        "--engine", choices=("des", "fluid", "hybrid"), default=None
     )
     resume_p.add_argument("--quick", action="store_true")
     resume_p.add_argument(
@@ -513,7 +511,7 @@ def _write_obs_artifacts(obs, args) -> None:
 
 def _run_one(
     name: str,
-    mode: Optional[str],
+    engine: Optional[str],
     quick: bool,
     plot: bool = False,
     csv_path: Optional[str] = None,
@@ -526,11 +524,11 @@ def _run_one(
 ) -> bool:
     accepted = _accepted_kwargs(name)
     kwargs = {}
-    if mode == "hybrid" and name not in HYBRID_EXPERIMENTS:
+    if engine == "hybrid" and name not in HYBRID_EXPERIMENTS:
         print(f"  (note: {name} has no background traffic to offload; running des)")
-        mode = "des"
-    if mode is not None and not name.startswith("ablation-"):
-        kwargs["mode"] = mode
+        engine = "des"
+    if engine is not None and not name.startswith("ablation-"):
+        kwargs["mode"] = engine
     if quick and "quick" in accepted:
         kwargs["quick"] = quick
     if obs is not None:
@@ -732,7 +730,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with guard:
                 passed = _run_one(
                     args.experiment,
-                    args.mode,
+                    args.engine,
                     args.quick,
                     getattr(args, "plot", False),
                     getattr(args, "csv", None),
@@ -791,11 +789,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for name in names:
         accepted = _accepted_kwargs(name)
         kwargs = {}
-        if args.mode is not None and not name.startswith("ablation-"):
-            mode = args.mode
-            if mode == "hybrid" and name not in HYBRID_EXPERIMENTS:
-                mode = "des"
-            kwargs["mode"] = mode
+        if args.engine is not None and not name.startswith("ablation-"):
+            engine = args.engine
+            if engine == "hybrid" and name not in HYBRID_EXPERIMENTS:
+                engine = "des"
+            kwargs["mode"] = engine
         if args.quick and "quick" in accepted:
             kwargs["quick"] = True
         per_experiment[name] = kwargs

@@ -17,7 +17,7 @@ class TestCli:
             assert name in out
 
     def test_run_fig2_fluid(self, capsys):
-        assert main(["run", "fig2", "--mode", "fluid"]) == 0
+        assert main(["run", "fig2", "--engine", "fluid"]) == 0
         out = capsys.readouterr().out
         assert "[fig2]" in out and "check PASS" in out
 
@@ -26,18 +26,18 @@ class TestCli:
             main(["run", "fig99"])
 
     def test_quick_flag_forwarded(self, capsys):
-        assert main(["run", "table1", "--quick", "--mode", "fluid"]) == 0
+        assert main(["run", "table1", "--quick", "--engine", "fluid"]) == 0
         out = capsys.readouterr().out
         assert "Graph500 BFS" in out
 
     def test_plot_flag_renders_chart(self, capsys):
-        assert main(["run", "fig2", "--mode", "fluid", "--plot"]) == 0
+        assert main(["run", "fig2", "--engine", "fluid", "--plot"]) == 0
         out = capsys.readouterr().out
         assert "PERIOD vs latency_us" in out and "log x" in out
 
     def test_csv_flag_writes_file(self, capsys, tmp_path):
         target = tmp_path / "fig3.csv"
-        assert main(["run", "fig3", "--mode", "fluid", "--csv", str(target)]) == 0
+        assert main(["run", "fig3", "--engine", "fluid", "--csv", str(target)]) == 0
         assert target.exists()
         assert "# experiment: fig3" in target.read_text()
 
