@@ -81,6 +81,9 @@ class DelayInjector:
         # Fluid background grants/s (hybrid engine); None = pure DES.
         self._background: Optional[RateSchedule] = None
         self.waits = SampleSeries("injector.wait")
+        # Running total of ``waits`` (ps); an int stays exact where a
+        # float sum of the series would have to re-read every sample.
+        self.wait_sum_ps = 0
         self.transactions = 0
 
     @property
@@ -181,6 +184,7 @@ class DelayInjector:
             self._last_grant = grant
         self.transactions += 1
         self.waits.add(grant - at)
+        self.wait_sum_ps += grant - at
         return grant
 
     def intrinsic_grant(self, at: Time) -> Optional[Time]:

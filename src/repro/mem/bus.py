@@ -19,7 +19,7 @@ background attached the fast path is untouched (byte-identical DES).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.obs.metrics import LogHistogram
 from repro.sim.resources import RateSchedule
@@ -49,6 +49,7 @@ class BandwidthServer:
         "queue_wait_hist",
         "_background",
         "sheds",
+        "_service",
     )
 
     def __init__(self, rate_bytes_per_s: float, name: str = "bus") -> None:
@@ -66,6 +67,9 @@ class BandwidthServer:
         # Fluid background traffic (None = pure-DES fast path).
         self._background: Optional[RateSchedule] = None
         self.sheds = 0
+        # nbytes -> service time; the rate is fixed, and a datapath
+        # moves a handful of distinct sizes.
+        self._service: Dict[int, Duration] = {}
 
     def enable_queue_wait_tracking(self) -> LogHistogram:
         """Start log-bucketed tracking of per-transfer queueing waits."""
@@ -75,7 +79,10 @@ class BandwidthServer:
 
     def service_time(self, nbytes: int) -> Duration:
         """Pure serialization time for *nbytes* (no queueing)."""
-        return transfer_time_ps(nbytes, self.rate)
+        duration = self._service.get(nbytes)
+        if duration is None:
+            duration = self._service[nbytes] = transfer_time_ps(nbytes, self.rate)
+        return duration
 
     def set_background(self, schedule: Optional[RateSchedule]) -> None:
         """Attach (or clear) a fluid background-traffic rate timeline.
@@ -99,7 +106,9 @@ class BandwidthServer:
         """
         start = at if at > self._next_free else self._next_free
         if self._background is None:
-            duration = self.service_time(nbytes)
+            duration = self._service.get(nbytes)
+            if duration is None:
+                duration = self.service_time(nbytes)
         else:
             duration = self._background.finish_time(start, nbytes, self.rate) - start
         finish = start + duration

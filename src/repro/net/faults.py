@@ -38,22 +38,37 @@ __all__ = ["Delivery", "GilbertElliott", "FaultModel", "FaultyChannel", "HopLoss
 class Delivery:
     """Outcome of one packet traversal through a faulty channel.
 
-    ``arrival`` is ``None`` when the packet was dropped; ``wire`` is
-    the encoded header as it arrives (possibly with a flipped bit, so
-    :meth:`~repro.nic.packet.Packet.decode` raises
-    :class:`~repro.errors.ChecksumError` at ingress);
+    ``arrival`` is ``None`` when the packet was dropped;
     ``payload_corrupted`` marks a bit error in the data payload, caught
     by the receiver's payload integrity check instead of the header
     CRC.  ``duplicate_arrival`` is the arrival time of a spurious
     second copy, when duplication struck.
+
+    The header is encoded only when a fault strikes one of its bits:
+    ``struck_header`` then holds the damaged bytes, so
+    :meth:`~repro.nic.packet.Packet.decode` raises
+    :class:`~repro.errors.ChecksumError` (or
+    :class:`~repro.errors.ProtocolError` for a mangled magic) at
+    ingress.  :attr:`wire` reads the bytes as they arrive either way.
     """
 
     packet: Packet
     arrival: Optional[Time]
-    wire: bytes
-    header_corrupted: bool = False
     payload_corrupted: bool = False
     duplicate_arrival: Optional[Time] = None
+    struck_header: Optional[bytes] = None
+
+    @property
+    def wire(self) -> bytes:
+        """The header bytes as they arrive (empty when dropped)."""
+        if self.struck_header is not None:
+            return self.struck_header
+        return b"" if self.arrival is None else self.packet.encode()
+
+    @property
+    def header_corrupted(self) -> bool:
+        """True if a header bit was struck (the CRC check will fail)."""
+        return self.struck_header is not None
 
     @property
     def delivered(self) -> bool:
@@ -63,7 +78,7 @@ class Delivery:
     @property
     def corrupted(self) -> bool:
         """True if the delivered bytes fail an integrity check."""
-        return self.header_corrupted or self.payload_corrupted
+        return self.struck_header is not None or self.payload_corrupted
 
 
 class GilbertElliott:
@@ -149,22 +164,21 @@ class FaultModel:
         """Decide this packet's fate; *arrival* is the clean arrival time."""
         self.packets += 1
         if not (self.enabled and self.active):
-            return Delivery(packet=packet, arrival=arrival, wire=packet.encode())
+            return Delivery(packet, arrival)
         cfg = self.config
         loss_p = self._ge.step() if self._ge is not None else cfg.loss_rate
         if loss_p > 0 and float(self._loss.random()) < loss_p:
             self.lost += 1
-            return Delivery(packet=packet, arrival=None, wire=b"")
-        wire = packet.encode()
-        header_corrupted = payload_corrupted = False
+            return Delivery(packet, None)
+        struck_header: Optional[bytes] = None
+        payload_corrupted = False
         if cfg.corrupt_rate > 0 and float(self._corrupt.random()) < cfg.corrupt_rate:
             self.corrupted += 1
             # The struck bit lands in header or payload in proportion
             # to their on-wire sizes; header hits break the CRC.
             bit = int(self._corrupt.integers(0, packet.wire_bytes * 8))
             if bit < HEADER_BYTES * 8:
-                header_corrupted = True
-                wire = _flip_bit(wire, bit)
+                struck_header = _flip_bit(packet.encode(), bit)
             else:
                 payload_corrupted = True
         if cfg.reorder_rate > 0 and float(self._reorder.random()) < cfg.reorder_rate:
@@ -182,10 +196,9 @@ class FaultModel:
         return Delivery(
             packet=packet,
             arrival=arrival,
-            wire=wire,
-            header_corrupted=header_corrupted,
             payload_corrupted=payload_corrupted,
             duplicate_arrival=duplicate_arrival,
+            struck_header=struck_header,
         )
 
     def summary(self) -> dict:

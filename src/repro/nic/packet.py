@@ -32,6 +32,15 @@ class PacketKind(enum.IntEnum):
     NACK = 6  # integrity failure at ingress: resend this seq
 
 
+#: Request kind -> the kind that answers it.
+_RESPONSE_KIND = {
+    PacketKind.READ_REQ: PacketKind.READ_RESP,
+    PacketKind.WRITE_REQ: PacketKind.WRITE_ACK,
+    PacketKind.PROBE: PacketKind.PROBE_ACK,
+}
+#: Kinds whose cache-line payload rides on the wire.
+_DATA_KINDS = frozenset({PacketKind.WRITE_REQ, PacketKind.READ_RESP})
+
 # Wire header: magic(2) kind(1) flags(1) src(2) dst(2) seq(8) addr(8)
 # size(4) crc(4) = 32 bytes, matching LinkConfig.header_bytes.
 _HEADER_STRUCT = struct.Struct(">HBBHHQQLL")
@@ -71,23 +80,19 @@ class Packet:
     @property
     def carries_data(self) -> bool:
         """True if the payload rides on the wire (write req / read resp)."""
-        return self.kind in (PacketKind.WRITE_REQ, PacketKind.READ_RESP)
+        return self.kind in _DATA_KINDS
 
     @property
     def wire_bytes(self) -> int:
         """Total on-wire size: header plus payload when data is carried."""
-        return HEADER_BYTES + (self.size if self.carries_data else 0)
+        return HEADER_BYTES + (self.size if self.kind in _DATA_KINDS else 0)
 
     def response_kind(self) -> PacketKind:
         """The packet kind that answers this request."""
-        mapping = {
-            PacketKind.READ_REQ: PacketKind.READ_RESP,
-            PacketKind.WRITE_REQ: PacketKind.WRITE_ACK,
-            PacketKind.PROBE: PacketKind.PROBE_ACK,
-        }
-        if self.kind not in mapping:
-            raise ProtocolError(f"{self.kind.name} is not a request kind")
-        return mapping[self.kind]
+        try:
+            return _RESPONSE_KIND[self.kind]
+        except KeyError:
+            raise ProtocolError(f"{self.kind.name} is not a request kind") from None
 
     def make_response(self) -> "Packet":
         """Build the response packet for this request (src/dst swapped)."""
@@ -117,10 +122,11 @@ class Packet:
         )
 
     # ------------------------------------------------------------------
-    # Wire encoding (exercised on the reliable-transport hot path: the
-    # packetizer encodes, lender ingress decodes + CRC-verifies; the
-    # simulation otherwise carries the object itself and charges
-    # `wire_bytes` for timing).
+    # Wire encoding.  The simulation carries the object itself and
+    # charges `wire_bytes` for timing; the bytes are materialized only
+    # when a fault strikes a header bit, and lender ingress then
+    # decodes + CRC-verifies them (a clean header is the identity
+    # round trip, so it is not re-run per packet).
     # ------------------------------------------------------------------
     def encode(self) -> bytes:
         """Serialize the header with CRC32 over the protected fields."""

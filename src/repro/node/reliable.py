@@ -10,11 +10,12 @@ route):
 * every request is held in the NIC's bounded retransmit buffer until a
   (cumulative) ACK covers it; admission to the buffer is a counting
   semaphore, so buffer pressure backpressures the window;
-* lender ingress CRC-verifies the wire bytes
-  (:meth:`~repro.nic.packet.Packet.decode` finally runs on the hot
-  path) and NACKs corrupted arrivals, suppresses duplicates, and
-  enforces the delivery discipline (go-back-N discards out-of-order
-  arrivals; selective repeat buffers them);
+* lender ingress CRC-verifies the wire bytes of every arrival whose
+  header a fault struck (:meth:`~repro.nic.packet.Packet.decode`
+  raises on them; an unstruck header is the sender's own packet) and
+  NACKs corrupted arrivals, suppresses duplicates, and enforces the
+  delivery discipline (go-back-N discards out-of-order arrivals;
+  selective repeat buffers them);
 * the sender retransmits on NACK or timer expiry with exponential
   backoff, up to ``transport.max_retries`` retransmissions; exhaustion
   raises :class:`~repro.errors.RetryExhausted`, which the system's mode

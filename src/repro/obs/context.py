@@ -161,7 +161,7 @@ class Observability:
         )
         # Mean number of transactions stalled at the injector gate over
         # the row's interval (delta of summed wait time / elapsed).
-        timeline.rate_probe("injector_stall_frac", lambda: injector.waits.sum(), scale=1.0)
+        timeline.rate_probe("injector_stall_frac", lambda: injector.wait_sum_ps, scale=1.0)
         timeline.add_probe("events_processed", lambda: sim.events_processed)
         # An ARQ delivery stage exposes its transport counters; other
         # systems have none, and the probe costs them nothing.

@@ -11,6 +11,9 @@ from repro.core.resilience import (
     default_loss_ladder,
     loss_resilience_sweep,
 )
+from repro.errors import ProtocolError
+from repro.nic import LenderIngress
+from repro.nic.packet import Packet
 from repro.node import ReliableThymesisFlowSystem, ThymesisFlowSystem
 
 
@@ -131,6 +134,65 @@ class TestLossRecovery:
             return system.transport.stats.as_dict()
 
         assert counts() == counts()
+
+
+class TestWireEncoding:
+    """Header bytes are built only for the deliveries a fault struck."""
+
+    @pytest.fixture
+    def codec_calls(self, monkeypatch):
+        """Count ``Packet.encode`` calls and record each ``decode`` outcome."""
+        calls = {"encode": 0, "decode": []}
+        encode, decode = Packet.encode, Packet.decode
+
+        def counting_encode(packet):
+            calls["encode"] += 1
+            return encode(packet)
+
+        def recording_decode(cls, data):
+            try:
+                packet = decode(data)
+            except ProtocolError as exc:
+                calls["decode"].append(type(exc))
+                raise
+            calls["decode"].append(None)
+            return packet
+
+        monkeypatch.setattr(Packet, "encode", counting_encode)
+        monkeypatch.setattr(Packet, "decode", classmethod(recording_decode))
+        return calls
+
+    def test_loss_only_run_encodes_nothing(self, codec_calls):
+        system = make_system(loss=0.02, armed=True, seed=5)
+        system.attach_or_raise()
+        drive_burst(system)
+        assert system.transport.stats.retransmissions > 0
+        assert codec_calls == {"encode": 0, "decode": []}
+
+    def test_every_struck_header_is_decoded_and_refused(self, codec_calls, monkeypatch):
+        struck = []
+        verify = LenderIngress.verify
+
+        def counting_verify(ingress, delivery):
+            struck.append(delivery.header_corrupted)
+            return verify(ingress, delivery)
+
+        monkeypatch.setattr(LenderIngress, "verify", counting_verify)
+        system = make_system(armed=True, seed=9, corrupt_rate=0.05, duplicate_rate=0.05)
+        system.attach_or_raise()
+        drive_burst(system)
+        assert sum(struck) > 0 and not all(struck)
+        # One real decode per struck arrival (channel duplicates
+        # included), and each one raises.
+        assert len(codec_calls["decode"]) == sum(struck)
+        assert all(
+            exc is not None and issubclass(exc, ProtocolError) for exc in codec_calls["decode"]
+        )
+        # Encoding happens only where a bit was struck (payload strikes
+        # need no header bytes either).
+        strikes = system.fault_fwd.corrupted + system.fault_rev.corrupted
+        assert 0 < codec_calls["encode"] < strikes
+        assert system.transport.stats.corrupt_drops >= sum(struck)
 
 
 class TestCrashAndDegrade:

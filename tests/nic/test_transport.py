@@ -1,6 +1,8 @@
 """Unit tests for the reliable NIC transport state machines."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import FaultConfig, TransportConfig
 from repro.errors import (
@@ -20,7 +22,7 @@ def packet(seq=1, kind=PacketKind.READ_REQ, size=128):
 
 
 def clean_delivery(pkt, arrival=100):
-    return Delivery(packet=pkt, arrival=arrival, wire=pkt.encode())
+    return Delivery(packet=pkt, arrival=arrival)
 
 
 class TestRetransmitBuffer:
@@ -56,6 +58,20 @@ class TestRetransmitBuffer:
         assert buf.ack_cumulative(3) == 3
         assert not buf.holds(2) and buf.holds(5)
 
+    def test_selective_acks_behind_a_held_seq(self):
+        # Seq 1 stays resident (its cumulative ACK never comes) while
+        # later seqs are acked one by one, as after a send that never
+        # reached the lender: the buffer keeps a bounded index and a
+        # cumulative ACK still finds seq 1.
+        buf = RetransmitBuffer(2)
+        buf.add(packet(seq=1))
+        for s in range(2, 50):
+            buf.add(packet(seq=s))
+            buf.ack(s)
+        assert len(buf._seqs) <= 2 * buf.capacity
+        assert buf.ack_cumulative(49) == 1
+        assert len(buf) == 0
+
     def test_high_water(self):
         buf = RetransmitBuffer(8)
         for s in range(1, 5):
@@ -87,7 +103,7 @@ class TestLenderIngressVerify:
     def test_payload_corruption_raises_link_corruption(self):
         ingress = LenderIngress(selective_repeat=False)
         p = packet()
-        d = Delivery(packet=p, arrival=0, wire=p.encode(), payload_corrupted=True)
+        d = Delivery(packet=p, arrival=0, payload_corrupted=True)
         with pytest.raises(LinkCorruption):
             ingress.verify(d)
 
@@ -194,3 +210,65 @@ class TestNackPacket:
         assert n.kind is PacketKind.NACK
         assert (n.src, n.dst) == (p.dst, p.src)
         assert n.seq == 9 and n.size == 0 and not n.carries_data
+
+
+class _ScanBuffer:
+    """Reference retransmit buffer: cumulative ACKs scan every resident seq."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.packets = {}
+        self.high_water = 0
+
+    def add(self, seq):
+        if len(self.packets) >= self.capacity:
+            raise ProtocolError("overflow")
+        self.packets[seq] = packet(seq=seq)
+        self.high_water = max(self.high_water, len(self.packets))
+
+    def ack(self, seq):
+        self.packets.pop(seq, None)
+
+    def ack_cumulative(self, upto):
+        stale = [seq for seq in self.packets if seq <= upto]
+        for seq in stale:
+            del self.packets[seq]
+        return len(stale)
+
+
+_SEQS = st.integers(min_value=1, max_value=12)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _SEQS),
+        st.tuples(st.just("ack"), _SEQS),
+        st.tuples(st.just("ack_cumulative"), st.integers(min_value=0, max_value=13)),
+    ),
+    max_size=120,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(capacity=st.integers(min_value=1, max_value=8), ops=_OPS)
+def test_property_buffer_matches_scan_reference(capacity, ops):
+    """Adds in any seq order (the replay path re-adds seqs below the
+    highest one), selective and cumulative ACKs: the heap-backed buffer
+    frees exactly what a scan over the resident seqs frees, also across
+    the rebuilds that drop entries of selectively acked seqs."""
+    buf, ref = RetransmitBuffer(capacity), _ScanBuffer(capacity)
+    for op, seq in ops:
+        if op == "add":
+            if len(ref.packets) >= capacity:
+                with pytest.raises(ProtocolError):
+                    buf.add(packet(seq=seq))
+                continue
+            ref.add(seq)
+            buf.add(packet(seq=seq))
+        elif op == "ack":
+            ref.ack(seq)
+            buf.ack(seq)
+        else:
+            assert buf.ack_cumulative(seq) == ref.ack_cumulative(seq)
+        assert len(buf) == len(ref.packets)
+        assert buf.high_water == ref.high_water
+        for s in range(1, 14):
+            assert buf.holds(s) == (s in ref.packets)

@@ -131,3 +131,34 @@ class TestSystemProbes:
         for row in obs.timeline.rows:
             assert "transport_retransmissions" in row
             assert "retransmit_buffer_occupancy" in row
+
+    def test_injector_stall_probe_does_not_materialize_waits(self, monkeypatch):
+        """The stall probe reads the injector's running wait sum, so a
+        timeline row costs O(1), not a pass over every wait so far."""
+        from repro.calibration import paper_cluster_config
+        from repro.engine import AccessPhase, DesPhaseDriver, PhaseProgram
+        from repro.node.cluster import ThymesisFlowSystem
+        from repro.obs import Observability
+        from repro.sim.trace import SampleSeries
+
+        materialized = []
+        values = SampleSeries.values
+
+        def spy(series):
+            materialized.append(series.name)
+            return values.fget(series)
+
+        monkeypatch.setattr(SampleSeries, "values", property(spy))
+        obs = Observability(trace=False, metrics=True)
+        system = ThymesisFlowSystem(paper_cluster_config(period=8), obs=obs)
+        system.attach_or_raise()
+        program = PhaseProgram("burst").add(AccessPhase("stream", n_lines=500, concurrency=16))
+        DesPhaseDriver(system, program).run_to_completion()
+        rows = obs.timeline.rows
+        assert len(rows) > 1
+        assert "injector.wait" not in materialized
+        injector = system.injector
+        assert injector.wait_sum_ps > 0
+        assert injector.wait_sum_ps == injector.waits.sum()
+        stalled = sum(row["injector_stall_frac"] * row["dt_ps"] for row in rows)
+        assert 0 < stalled <= injector.wait_sum_ps * (1 + 1e-9)
