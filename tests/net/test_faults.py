@@ -1,5 +1,7 @@
 """Unit tests for the lossy-link fault model (:mod:`repro.net.faults`)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import FaultConfig, LinkConfig
@@ -93,6 +95,23 @@ class TestFaultModel:
         d = model.apply(packet(kind=PacketKind.PROBE, size=0), arrival=0)
         assert d.header_corrupted and not d.payload_corrupted
         assert len(d.wire) == HEADER_BYTES
+
+    def test_clean_wire_is_the_encoded_header(self):
+        p = packet()
+        d = FaultModel(FaultConfig(), RngStreams(3)).apply(p, arrival=0)
+        assert not d.header_corrupted and d.wire == p.encode()
+        assert Packet.decode(d.wire) == p
+
+    def test_duplicate_copy_keeps_the_struck_header(self):
+        # The ARQ loop replays a channel duplicate as a copy of the
+        # delivery without its duplicate arrival.
+        cfg = FaultConfig(corrupt_rate=1.0, duplicate_rate=1.0)
+        d = FaultModel(cfg, RngStreams(3)).apply(packet(kind=PacketKind.PROBE, size=0), 0)
+        copy = replace(d, duplicate_arrival=None)
+        assert copy.duplicate_arrival is None and copy.header_corrupted
+        assert copy.wire == d.wire
+        with pytest.raises(ProtocolError):
+            Packet.decode(copy.wire)
 
     def test_reorder_adds_bounded_delay(self):
         cfg = FaultConfig(reorder_rate=1.0, reorder_jitter=1000)
