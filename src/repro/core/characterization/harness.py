@@ -133,8 +133,6 @@ def validation_sweep(
     obs=None,
     workers: int = 1,
     cache: Optional[ResultCache] = None,
-    journal=None,
-    supervisor=None,
 ) -> SweepResult:
     """Run the section IV-B sweep; returns per-PERIOD latency/bandwidth.
 
@@ -152,9 +150,7 @@ def validation_sweep(
     *workers* fans the PERIOD points over a process pool; *cache*
     serves previously computed points from the content-addressed
     result cache.  Either way the rows are bit-identical to a plain
-    serial run.  *journal* write-ahead-logs point completion for crash
-    recovery and *supervisor* arms worker heartbeats (see
-    :mod:`repro.resilience`); neither changes the computed rows.
+    serial run.
     """
     if not periods:
         raise ExperimentError("validation_sweep requires at least one PERIOD")
@@ -178,9 +174,7 @@ def validation_sweep(
             )
             for period in periods
         ]
-        rows = SweepExecutor(
-            workers=workers, cache=cache, journal=journal, supervisor=supervisor
-        ).map(tasks)
+        rows = SweepExecutor(workers=workers, cache=cache).map(tasks)
     points = [
         SweepPoint(
             period=row["period"],

@@ -202,8 +202,6 @@ def loss_resilience_sweep(
     obs=None,
     workers: int = 1,
     cache=None,
-    journal=None,
-    supervisor=None,
 ) -> LossResilienceReport:
     """Walk the loss ladder on the reliable DES testbed.
 
@@ -262,8 +260,6 @@ def loss_resilience_sweep(
             )
             for loss, key in keyed
         ]
-        rows = SweepExecutor(
-            workers=workers, cache=cache, journal=journal, supervisor=supervisor
-        ).map(tasks)
+        rows = SweepExecutor(workers=workers, cache=cache).map(tasks)
     points = [LossResiliencePoint(**row) for row in rows]
     return LossResilienceReport(points=points, degraded_mode=degraded_mode)

@@ -1,11 +1,10 @@
 """Lender failure domains: schedules, health checking, failover policies.
 
-PR 3 made the *link* survivable (loss + ARQ + quarantine) and PR 5 made
-the *sweep harness* survivable (checkpoint/journal/supervisor); this
-module makes the **lender host** a first-class failure domain, the way
-rack-scale disaggregation work (DRackSim, Clio) treats remote-node
-failure: detected by a health-checked control plane, recovered by
-policy, never silently absorbed.
+The loss-resilience layer makes the *link* survivable (loss + ARQ +
+quarantine); this module makes the **lender host** a first-class
+failure domain, the way rack-scale disaggregation work (DRackSim,
+Clio) treats remote-node failure: detected by a health-checked control
+plane, recovered by policy, never silently absorbed.
 
 Three layers live here:
 
@@ -759,8 +758,6 @@ def failover_sweep(
     obs=None,
     workers: int = 1,
     cache=None,
-    journal=None,
-    supervisor=None,
 ) -> FailoverReport:
     """Sweep lender MTBF/MTTR x failover policy x lender count.
 
@@ -820,9 +817,7 @@ def failover_sweep(
             )
             for policy, kind, n_lenders, key in keyed
         ]
-        outputs = SweepExecutor(
-            workers=workers, cache=cache, journal=journal, supervisor=supervisor
-        ).map(tasks)
+        outputs = SweepExecutor(workers=workers, cache=cache).map(tasks)
     points: List[FailoverPoint] = []
     events: List[dict] = []
     for output in outputs:

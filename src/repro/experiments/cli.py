@@ -10,9 +10,6 @@ Usage::
     repro-experiments run fig6 --workers 8 --cache
     repro-experiments all --engine fluid --workers 4
     repro-experiments cache stats
-    repro-experiments run fig5 --journal --checkpoint-every 5
-    repro-experiments sweep resume fig5
-    repro-experiments sweep status fig5
     python -m repro run table1
     python -m repro lint src/repro
 """
@@ -193,49 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     all_p.add_argument("--quick", action="store_true")
     _add_perf_arguments(all_p)
 
-    sweep_p = sub.add_parser(
-        "sweep", help="crash-safe sweep management (write-ahead journal)"
-    )
-    sweep_sub = sweep_p.add_subparsers(dest="sweep_command", required=True)
-    resume_p = sweep_sub.add_parser(
-        "resume",
-        help="resume an interrupted journalled run (skips completed points)",
-    )
-    resume_p.add_argument("experiment", help="experiment id of the interrupted run")
-    resume_p.add_argument(
-        "--engine", choices=("des", "fluid", "hybrid"), default=None
-    )
-    resume_p.add_argument("--quick", action="store_true")
-    resume_p.add_argument(
-        "--plot", action="store_true", help="render the figure as an ASCII chart"
-    )
-    resume_p.add_argument("--csv", metavar="PATH", default=None)
-    resume_p.add_argument(
-        "--attrib-out",
-        metavar="PATH",
-        default=None,
-        help="write the causal latency-attribution sidecar JSON",
-    )
-    resume_p.add_argument("--loss", type=float, metavar="RATE", default=None)
-    resume_p.add_argument("--retries", type=int, metavar="N", default=None)
-    resume_p.add_argument("--degraded", action="store_true")
-    _add_perf_arguments(resume_p)
-    status_p = sweep_sub.add_parser(
-        "status", help="show a sweep journal's progress (done/seen/complete)"
-    )
-    status_p.add_argument(
-        "experiment",
-        nargs="?",
-        default=None,
-        help="experiment id whose default journal to inspect",
-    )
-    status_p.add_argument(
-        "--journal",
-        metavar="PATH",
-        default=None,
-        help="explicit journal path (instead of the experiment's default)",
-    )
-
     cache_p = sub.add_parser("cache", help="inspect or clear the result cache")
     cache_sub = cache_p.add_subparsers(dest="cache_command", required=True)
     for verb, help_text in (
@@ -333,95 +287,18 @@ def _add_perf_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="disable the result cache even if REPRO_CACHE=1",
     )
-    parser.add_argument(
-        "--journal",
-        nargs="?",
-        const=True,
-        metavar="PATH",
-        default=None,
-        help="write-ahead-journal sweep progress for crash recovery "
-        "(default path: <cache root>/journal/<experiment>.jsonl)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay completed points from the journal instead of "
-        "recomputing them (implies --journal)",
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        metavar="N",
-        default=None,
-        help="fsync the journal every N completed points "
-        "(default 1: every completion is durable; implies --journal)",
-    )
-    parser.add_argument(
-        "--supervise",
-        action="store_true",
-        help="arm the heartbeat supervisor: hung/dead workers are "
-        "detected, killed and their points requeued (with --workers)",
-    )
 
 
 def _build_cache(args):
     """ResultCache per the --cache/--no-cache flags and REPRO_CACHE env."""
-    enabled = getattr(args, "cache", False) or os.environ.get("REPRO_CACHE") == "1"
-    if getattr(args, "no_cache", False):
+    enabled = args.cache or os.environ.get("REPRO_CACHE") == "1"
+    if args.no_cache:
         enabled = False
     if not enabled:
         return None
     from repro.perf import ResultCache
 
     return ResultCache()
-
-
-def _build_journal(args, label: str, metrics=None):
-    """SweepJournal per the --journal/--resume/--checkpoint-every flags.
-
-    Without ``--resume`` an existing journal for *label* is discarded
-    first — replaying a previous run's points must be opt-in, never a
-    surprise.  When the run is observed, *metrics* is the run's
-    :class:`~repro.obs.metrics.MetricsRegistry`, so the journal's
-    crash-safety counters (replays, torn lines, supervisor restarts)
-    surface in ``repro obs report``.
-    """
-    flag = getattr(args, "journal", None)
-    resume = bool(getattr(args, "resume", False))
-    cadence = getattr(args, "checkpoint_every", None)
-    if flag is None and not resume and cadence is None:
-        return None
-    from repro.resilience.journal import SweepJournal, default_journal_path
-
-    path = default_journal_path(label) if flag in (None, True) else flag
-    if not resume:
-        import pathlib
-
-        pathlib.Path(path).unlink(missing_ok=True)
-    return SweepJournal(path, checkpoint_every=cadence or 1, metrics=metrics)
-
-
-def _build_supervisor(args):
-    """SupervisorConfig when --supervise was given, else None."""
-    if not getattr(args, "supervise", False):
-        return None
-    from repro.resilience.supervisor import SupervisorConfig
-
-    return SupervisorConfig()
-
-
-def _report_journal(journal, resumed: bool) -> None:
-    if journal is None:
-        return
-    info = journal.summary()
-    bits = [f"{info['points_done']} point(s) journalled"]
-    if resumed:
-        bits.append("resumed")
-    if info["torn_lines"]:
-        bits.append(f"{info['torn_lines']} torn line(s) dropped")
-    if info["rotated_stale"]:
-        bits.append("stale journal rotated aside")
-    print(f"  journal: {', '.join(bits)} in {info['path']}")
 
 
 def _report_cache(cache) -> None:
@@ -471,10 +348,10 @@ def _accepted_kwargs(name: str) -> frozenset:
 
 def _build_obs(args):
     """Observability bundle for the run flags, or None when all are off."""
-    profile = bool(getattr(args, "profile", False) or getattr(args, "profile_out", None))
-    trace_out = getattr(args, "trace_out", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    attrib_out = getattr(args, "attrib_out", None)
+    profile = bool(args.profile or args.profile_out)
+    trace_out = args.trace_out
+    metrics_out = args.metrics_out
+    attrib_out = args.attrib_out
     if not (trace_out or metrics_out or attrib_out or profile):
         return None
     from repro.obs import Observability
@@ -490,19 +367,17 @@ def _build_obs(args):
 
 
 def _write_obs_artifacts(obs, args) -> None:
-    if getattr(args, "trace_out", None):
+    if args.trace_out:
         print(f"  trace written to {obs.write_trace(args.trace_out)}")
-    if getattr(args, "metrics_out", None):
+    if args.metrics_out:
         print(f"  metrics written to {obs.write_metrics(args.metrics_out)}")
-    if getattr(args, "attrib_out", None):
-        written = obs.write_attrib(
-            args.attrib_out, experiment=getattr(args, "experiment", "") or ""
-        )
+    if args.attrib_out:
+        written = obs.write_attrib(args.attrib_out, experiment=args.experiment)
         print(f"  attribution written to {written}")
     if obs.profiler is not None:
         print()
         print(obs.profiler.render())
-        if getattr(args, "profile_out", None):
+        if args.profile_out:
             from repro.resilience.atomicio import atomic_write_json
 
             atomic_write_json(args.profile_out, obs.profiler.to_dict(), indent=1)
@@ -519,8 +394,6 @@ def _run_one(
     chaos: Optional[dict] = None,
     workers: int = 1,
     cache=None,
-    journal=None,
-    supervisor=None,
 ) -> bool:
     accepted = _accepted_kwargs(name)
     kwargs = {}
@@ -553,16 +426,6 @@ def _run_one(
             kwargs["cache"] = cache
         else:
             print(f"  (note: {name} does not support --cache; flag ignored)")
-    if journal is not None:
-        if "journal" in accepted:
-            kwargs["journal"] = journal
-        else:
-            print(f"  (note: {name} does not support --journal; flag ignored)")
-    if supervisor is not None:
-        if "supervisor" in accepted:
-            kwargs["supervisor"] = supervisor
-        else:
-            print(f"  (note: {name} does not support --supervise; flag ignored)")
     result = run_experiment(name, **kwargs)
     print(result.render())
     print()
@@ -574,58 +437,6 @@ def _run_one(
         written = write_result_csv(result, csv_path)
         print(f"  rows written to {written}")
     return result.passed
-
-
-def _sweep_status(args) -> int:
-    """`repro sweep status`: report a journal's progress without touching it."""
-    import json as _json
-
-    from repro.resilience.journal import SweepJournal, default_journal_path
-
-    if args.journal:
-        path = args.journal
-    elif args.experiment:
-        path = default_journal_path(args.experiment)
-    else:
-        print("error: give an experiment id or --journal PATH", file=sys.stderr)
-        return 2
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header_line = fh.readline()
-    except OSError:
-        print(f"no journal at {path}")
-        return 1
-    try:
-        header = _json.loads(header_line)
-    except ValueError:
-        header = {}
-    # Load with the journal's own fingerprint so inspection never
-    # rotates the file; staleness is reported instead.
-    journal = SweepJournal(path, fingerprint=header.get("fingerprint", ""))
-    journal.close()
-    info = journal.summary()
-    from repro.perf.cache import code_fingerprint
-
-    stale = header.get("fingerprint") != code_fingerprint()
-    print(f"journal {info['path']}")
-    print(
-        f"  points: {info['points_done']} done / {info['points_seen']} seen"
-        f"{'; sweep marked complete' if info['complete'] else ''}"
-    )
-    if info["torn_lines"]:
-        print(f"  torn/corrupt lines dropped: {info['torn_lines']}")
-    if stale:
-        print(
-            "  STALE: written by different code "
-            f"(journal {str(header.get('fingerprint'))[:12]}..., current "
-            f"{code_fingerprint()[:12]}...); resume will start clean"
-        )
-    incomplete = [k for d, k in journal.keys.items() if d not in journal.completed]
-    for key in sorted(incomplete)[:10]:
-        print(f"  not yet done: {key}")
-    if len(incomplete) > 10:
-        print(f"  ... and {len(incomplete) - 10} more")
-    return 0
 
 
 def _parse_percentiles(spec: Optional[str]) -> Optional[list]:
@@ -700,67 +511,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name, description in list_experiments():
             print(f"{name:<20s} {description}")
         return 0
-    if args.command == "run" or (
-        args.command == "sweep" and args.sweep_command == "resume"
-    ):
-        if args.command == "sweep":
-            args.resume = True  # `sweep resume` is `run --resume` by definition
+    if args.command == "run":
         obs = _build_obs(args)
         cache = _build_cache(args)
-        journal = _build_journal(
-            args,
-            args.experiment,
-            metrics=obs.metrics if obs is not None and obs.metrics_enabled else None,
-        )
-        supervisor = _build_supervisor(args)
         chaos = {
             "loss": args.loss,
             "retries": args.retries,
             "degraded": args.degraded,
         }
-        from contextlib import nullcontext
-
-        if journal is not None:
-            from repro.resilience.supervisor import flush_on_signals
-
-            guard = flush_on_signals(journal.flush)
-        else:
-            guard = nullcontext()
-        try:
-            with guard:
-                passed = _run_one(
-                    args.experiment,
-                    args.engine,
-                    args.quick,
-                    getattr(args, "plot", False),
-                    getattr(args, "csv", None),
-                    obs=obs,
-                    chaos=chaos,
-                    workers=args.workers,
-                    cache=cache,
-                    journal=journal,
-                    supervisor=supervisor,
-                )
-        except KeyboardInterrupt:
-            if journal is not None:
-                journal.close()
-                print(
-                    f"\ninterrupted; journal flushed to {journal.path} "
-                    f"({len(journal.completed)} point(s) durable) — "
-                    f"rerun with `sweep resume {args.experiment}` to continue",
-                    file=sys.stderr,
-                )
-            raise
-        if journal is not None:
-            journal.record_complete()
-            journal.close()
-        _report_journal(journal, resumed=bool(getattr(args, "resume", False)))
+        passed = _run_one(
+            args.experiment,
+            args.engine,
+            args.quick,
+            args.plot,
+            args.csv,
+            obs=obs,
+            chaos=chaos,
+            workers=args.workers,
+            cache=cache,
+        )
         _report_cache(cache)
         if obs is not None:
             _write_obs_artifacts(obs, args)
         return 0 if passed else 1
-    if args.command == "sweep":
-        return _sweep_status(args)
     if args.command == "obs":
         if args.obs_command == "attrib":
             return _obs_attrib(args)
@@ -782,8 +555,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # all: fan whole experiments (figures and ablations alike) over the
     # sweep executor — each is one independent point.
     cache = _build_cache(args)
-    journal = _build_journal(args, "all")
-    supervisor = _build_supervisor(args)
     names = [name for name, _ in list_experiments()]
     per_experiment = {}
     for name in names:
@@ -797,43 +568,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.quick and "quick" in accepted:
             kwargs["quick"] = True
         per_experiment[name] = kwargs
-    from contextlib import nullcontext
-
-    if journal is not None:
-        from repro.resilience.supervisor import flush_on_signals
-
-        guard = flush_on_signals(journal.flush)
-    else:
-        guard = nullcontext()
-    try:
-        with guard:
-            results = run_many(
-                names,
-                per_experiment=per_experiment,
-                workers=args.workers,
-                cache=cache,
-                journal=journal,
-                supervisor=supervisor,
-            )
-    except KeyboardInterrupt:
-        if journal is not None:
-            journal.close()
-            print(
-                f"\ninterrupted; journal flushed to {journal.path} "
-                f"({len(journal.completed)} experiment(s) durable) — "
-                "rerun `all --resume` to continue",
-                file=sys.stderr,
-            )
-        raise
-    if journal is not None:
-        journal.record_complete()
-        journal.close()
+    results = run_many(
+        names, per_experiment=per_experiment, workers=args.workers, cache=cache
+    )
     ok = True
     for result in results:
         print(result.render())
         print()
         ok = result.passed and ok
-    _report_journal(journal, resumed=bool(getattr(args, "resume", False)))
     _report_cache(cache)
     return 0 if ok else 1
 

@@ -41,8 +41,6 @@ def run(
     obs=None,
     workers: int = 1,
     cache=None,
-    journal=None,
-    supervisor=None,
 ) -> ExperimentResult:
     """Sweep lender failures x failover policy x lender count.
 
@@ -82,8 +80,6 @@ def run(
             obs=obs,
             workers=workers,
             cache=cache,
-            journal=journal,
-            supervisor=supervisor,
         )
         points.extend(report.points)
         events.extend(report.events)

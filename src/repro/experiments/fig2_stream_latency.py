@@ -37,8 +37,6 @@ def run(
     obs=None,
     workers: int = 1,
     cache=None,
-    journal=None,
-    supervisor=None,
 ) -> ExperimentResult:
     """Regenerate the Figure 2 series.
 
@@ -59,8 +57,6 @@ def run(
         obs=obs,
         workers=workers,
         cache=cache,
-        journal=journal,
-        supervisor=supervisor,
     )
     lat_us = sweep.latencies_ps / US
     profile = named_profile("pingmesh_intra_dc")

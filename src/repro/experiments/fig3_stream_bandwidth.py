@@ -34,8 +34,6 @@ def run(
     obs=None,
     workers: int = 1,
     cache=None,
-    journal=None,
-    supervisor=None,
 ) -> ExperimentResult:
     """Regenerate the Figure 3 series (``quick`` shrinks the sweep)."""
     if periods is None:
@@ -49,8 +47,6 @@ def run(
         obs=obs,
         workers=workers,
         cache=cache,
-        journal=journal,
-        supervisor=supervisor,
     )
     bw = sweep.bandwidths
     mean_bdp, deviation = sweep.bdp()

@@ -49,8 +49,6 @@ def run(
     obs=None,
     workers: int = 1,
     cache=None,
-    journal=None,
-    supervisor=None,
 ) -> ExperimentResult:
     """Regenerate the Figure 4 stress series (DES only — attach is stateful).
 
@@ -69,8 +67,6 @@ def run(
             obs=obs,
             workers=workers,
             cache=cache,
-            journal=journal,
-            supervisor=supervisor,
         )
     if stream is None and quick:
         stream = StreamConfig(n_elements=1_000)
@@ -120,8 +116,6 @@ def _run_loss(
     obs=None,
     workers: int = 1,
     cache=None,
-    journal=None,
-    supervisor=None,
 ) -> ExperimentResult:
     """The ``--loss`` chaos mode: loss ladder on the reliable testbed."""
     ladder = default_loss_ladder(loss)
@@ -138,8 +132,6 @@ def _run_loss(
         obs=obs,
         workers=workers,
         cache=cache,
-        journal=journal,
-        supervisor=supervisor,
     )
     rows = []
     for p in report.points:

@@ -52,8 +52,6 @@ def run(
     obs=None,
     workers: int = 1,
     cache=None,
-    journal=None,
-    supervisor=None,
 ) -> ExperimentResult:
     """Regenerate the Figure 5 series.
 
@@ -86,9 +84,7 @@ def run(
             )
             for name, period in unique
         ]
-        computed = SweepExecutor(
-            workers=workers, cache=cache, journal=journal, supervisor=supervisor
-        ).map(tasks)
+        computed = SweepExecutor(workers=workers, cache=cache).map(tasks)
         durations = dict(zip(unique, computed))
     baselines = {name: durations[(name, 1)] for name in suite}
     for period in periods:

@@ -92,8 +92,6 @@ def run(
     obs=None,
     workers: int = 1,
     cache=None,
-    journal=None,
-    supervisor=None,
 ) -> ExperimentResult:
     """Regenerate the Figure 6 series (per-instance STREAM bandwidth).
 
@@ -122,9 +120,7 @@ def run(
             )
             for n in instance_counts
         ]
-        outputs = SweepExecutor(
-            workers=workers, cache=cache, journal=journal, supervisor=supervisor
-        ).map(tasks)
+        outputs = SweepExecutor(workers=workers, cache=cache).map(tasks)
     rows = []
     per_instance: list[float] = []
     aggregate: list[float] = []

@@ -65,8 +65,6 @@ def run(
     obs=None,
     workers: int = 1,
     cache=None,
-    journal=None,
-    supervisor=None,
 ) -> ExperimentResult:
     """Regenerate the Figure 7 series (borrower STREAM bandwidth).
 
@@ -100,9 +98,7 @@ def run(
             )
             for n_local in lender_counts
         ]
-        outputs = SweepExecutor(
-            workers=workers, cache=cache, journal=journal, supervisor=supervisor
-        ).map(tasks)
+        outputs = SweepExecutor(workers=workers, cache=cache).map(tasks)
     rows = []
     borrower_bw: list[float] = []
     for n_local, output in zip(lender_counts, outputs):

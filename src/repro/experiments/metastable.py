@@ -247,8 +247,6 @@ def run(
     obs=None,
     workers: int = 1,
     cache=None,
-    journal=None,
-    supervisor=None,
 ) -> ExperimentResult:
     """Sweep the protection ladder across the metastable trigger.
 
@@ -272,9 +270,7 @@ def run(
             )
             for p in policies
         ]
-        outputs = SweepExecutor(
-            workers=workers, cache=cache, journal=journal, supervisor=supervisor
-        ).map(tasks)
+        outputs = SweepExecutor(workers=workers, cache=cache).map(tasks)
 
     rows = []
     by_policy: Dict[str, dict] = {}

@@ -106,8 +106,6 @@ def run_many(
     per_experiment: Optional[Mapping[str, Mapping]] = None,
     workers: int = 1,
     cache=None,
-    journal=None,
-    supervisor=None,
     **kwargs,
 ) -> List[ExperimentResult]:
     """Run several experiments, optionally fanned over a process pool.
@@ -119,12 +117,6 @@ def run_many(
     content-addressed result cache.  ``**kwargs`` go to every runner
     (filtered to what each accepts); *per_experiment* adds per-name
     overrides.  Results come back in *names* order.
-
-    *journal* write-ahead-logs each experiment's completion so an
-    interrupted batch resumes where it died (``repro sweep resume``);
-    *supervisor* arms worker heartbeats.  Both apply at the batch
-    level — they are not forwarded into the per-experiment runners,
-    which execute serially inside their point.
     """
     import inspect
 
@@ -138,7 +130,5 @@ def run_many(
         tasks.append(
             PointTask(key=f"experiment/{name}", fn=_run_as_dict, kwargs={"name": name, "kwargs": merged})
         )
-    outputs = SweepExecutor(
-        workers=workers, cache=cache, journal=journal, supervisor=supervisor
-    ).map(tasks)
+    outputs = SweepExecutor(workers=workers, cache=cache).map(tasks)
     return [_result_from_dict(data) for data in outputs]

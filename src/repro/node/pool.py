@@ -16,13 +16,13 @@ multiple of one link, unlike a full lender node's memory bus.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Generator, List
+from typing import List
 
 from repro.config import ClusterConfig, DramConfig, default_cluster_config
 from repro.errors import ConfigError
 from repro.node.cluster import ThymesisFlowSystem
 from repro.node.node import Node
-from repro.sim import AllOf, RngStreams, Simulator
+from repro.sim import RngStreams, Simulator
 from repro.units import Duration, nanoseconds
 
 __all__ = ["PoolConfig", "MemoryPoolFabric"]
@@ -105,42 +105,3 @@ class MemoryPoolFabric:
             # A pool has no FPGA detection handshake to run.
             system.install_window()
             self.systems.append(system)
-
-    # ------------------------------------------------------------------
-    def run_streams(self, lines_per_borrower: int, concurrency: int = 128) -> List[dict]:
-        """Drive a streaming read burst from every borrower simultaneously.
-
-        Returns per-borrower ``{bandwidth_bytes_per_s, mean_latency_ps}``.
-        """
-        sim = self.sim
-        results: List[dict] = [dict() for _ in self.systems]
-
-        def instance(index: int, system: ThymesisFlowSystem) -> Generator:
-            start = sim.now
-            state = {"left": lines_per_borrower}
-            base, line = system.config.remote_region_base, system.line_bytes
-
-            def worker() -> Generator:
-                while state["left"] > 0:
-                    state["left"] -= 1
-                    yield from system.remote_access(base + state["left"] * line)
-
-            n_workers = min(concurrency, lines_per_borrower)
-            yield AllOf(
-                sim, [sim.process(worker(), name=f"b{index}.w{w}") for w in range(n_workers)]
-            )
-            elapsed = sim.now - start
-            results[index] = {
-                "bandwidth_bytes_per_s": system.remote_bytes_moved() * 1e12 / max(1, elapsed),
-                "mean_latency_ps": system.remote_latency_mean_ps(),
-            }
-
-        roots = [
-            sim.process(instance(i, system), name=f"b{i}")
-            for i, system in enumerate(self.systems)
-        ]
-        sim.run()
-        for proc in roots:
-            if not proc.ok:  # pragma: no cover - defensive
-                _ = proc.value
-        return results

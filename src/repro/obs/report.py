@@ -271,14 +271,4 @@ def render_report(
         if rows:
             sections.append("")
             sections.append(render_table("counters", ("counter", "value"), rows))
-            # Crash-safety machinery mirrors its counters here; call out
-            # explicitly when a run exercised it (or confirm it didn't).
-            activity = {
-                name: value
-                for name, value in metrics_summary["counters"].items()
-                if name.startswith("resilience.")
-            }
-            if activity:
-                signals = ", ".join(f"{k}={v:g}" for k, v in sorted(activity.items()))
-                sections.append(f"  crash-safety activity: {signals}")
     return "\n".join(sections)

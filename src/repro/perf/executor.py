@@ -18,18 +18,9 @@ loop in the parent process — no pool, no pickling, no subprocesses —
 which is also the fallback whenever a sweep threads an observability
 bundle through its points (spans cannot cross process boundaries).
 
-Crash safety (see :mod:`repro.resilience`): an optional *journal*
-write-ahead-logs every point — ``pending`` up front, ``running`` at
-dispatch, ``done`` (with the JSON value) on completion — so a killed
-sweep resumes from its last durable point; completed results are
-journalled *as workers finish them*, not when the ordered collection
-reaches them, and an interrupt (KeyboardInterrupt / SIGTERM) harvests
-finished futures into the journal before re-raising.  An optional
-*supervisor* config arms worker heartbeats: a worker that stops
-beating (OOM-killed, wedged in native code) is SIGKILLed by the
-parent's monitor, the broken pool is rebuilt, and the unfinished
-points are requeued — capped by ``max_restarts`` — distinct from the
-per-point ``timeout_s``, which bounds a single healthy point.
+A point that raises, or a worker that dies under it, fails the whole
+sweep with :class:`SweepExecutionError`; the remaining workers are
+killed rather than waited on.
 
 This module is the **only** sanctioned home of process-level
 parallelism in the repository (simlint rule SIM006): routing every
@@ -40,18 +31,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import shutil
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.perf.cache import ResultCache, canonical_json
-from repro.resilience.journal import SweepJournal, point_digest
-from repro.resilience.supervisor import HeartbeatMonitor, SupervisorConfig
 
 __all__ = [
     "PointTask",
@@ -62,7 +48,7 @@ __all__ = [
 
 
 class SweepExecutionError(ReproError):
-    """A sweep point failed (or timed out) after exhausting its retries."""
+    """A sweep point failed, or the worker running it died."""
 
 
 def derive_point_seed(seed: int, point_key: str) -> int:
@@ -107,16 +93,6 @@ def _invoke(fn: Callable[..., Any], kwargs: Mapping[str, Any]) -> Any:
     return fn(**kwargs)
 
 
-def _supervised_invoke(
-    fn: Callable[..., Any], kwargs: Mapping[str, Any], hb_dir: str, interval: float
-) -> Any:
-    """Like :func:`_invoke`, but emitting heartbeats while the point runs."""
-    from repro.resilience.supervisor import worker_heartbeat
-
-    with worker_heartbeat(hb_dir, interval):
-        return fn(**kwargs)
-
-
 def _normalize(value: Any) -> Any:
     """Round-trip *value* through canonical JSON.
 
@@ -129,15 +105,12 @@ def _normalize(value: Any) -> Any:
     return json.loads(canonical_json(value))
 
 
-@dataclass
-class _Pending:
-    """Book-keeping for one not-yet-satisfied point."""
+def _point_failed(task: PointTask, exc: BaseException) -> SweepExecutionError:
+    return SweepExecutionError(f"sweep point {task.key!r} failed: {exc}")
 
-    idx: int
-    task: PointTask
-    cache_key: Optional[str]
-    digest: Optional[str]
-    recorded: bool = False
+
+#: A point still to compute: (result slot, task, cache key or None).
+_Pending = Tuple[int, PointTask, Optional[str]]
 
 
 @dataclass
@@ -149,250 +122,72 @@ class SweepExecutor:
     workers:
         Process-pool width; ``<= 1`` runs inline (deterministically
         identical, see module docstring).
-    timeout_s:
-        Per-point wall-clock budget (parallel mode only — an inline
-        run cannot be preempted).  ``None`` disables the limit.
-    retries:
-        How many times a failed or timed-out point is resubmitted
-        before :class:`SweepExecutionError` is raised.
     cache:
         Optional :class:`~repro.perf.cache.ResultCache`; hits skip
         execution entirely and misses are stored after computing.
-    journal:
-        Optional :class:`~repro.resilience.journal.SweepJournal`;
-        previously journalled points are replayed without execution and
-        every completion is write-ahead-logged for crash recovery.
-    supervisor:
-        Optional :class:`~repro.resilience.supervisor.SupervisorConfig`
-        arming worker heartbeats and dead-worker requeue (parallel
-        mode only).
-    metrics:
-        Optional :class:`repro.obs.metrics.MetricsRegistry`; supervisor
-        restarts/requeues are mirrored as ``resilience.supervisor.*``
-        counters (the journal and cache mirror their own).
     """
 
     workers: int = 1
-    timeout_s: Optional[float] = None
-    retries: int = 0
     cache: Optional[ResultCache] = None
-    journal: Optional[SweepJournal] = None
-    supervisor: Optional[SupervisorConfig] = None
-    metrics: Optional[Any] = None
 
     def map(self, tasks: Sequence[PointTask]) -> List[Any]:
         """Execute *tasks*, returning their results in task order."""
-        if self.metrics is None and self.journal is not None:
-            # Share the journal's registry so supervisor restarts and
-            # journal replays land in the same place `repro obs report`
-            # reads crash-safety activity from.
-            self.metrics = self.journal.metrics
         results: List[Any] = [None] * len(tasks)
         pending: List[_Pending] = []
         cache = self.cache
-        journal = self.journal
-        replayed = 0
         for idx, task in enumerate(tasks):
-            digest = point_digest(task.key, task.kwargs) if journal is not None else None
-            if journal is not None and digest in journal.completed:
-                # Write-ahead journal replay: the point completed in a
-                # previous (interrupted) run of this sweep.
-                results[idx] = journal.completed[digest]
-                replayed += 1
-                continue
             cache_key = None
             if cache is not None:
                 cache_key = cache.key_for(task.key, task.kwargs)
                 hit, value = cache.get(cache_key)
                 if hit:
                     results[idx] = value
-                    if journal is not None and digest is not None:
-                        # Journal the cache hit too, so a later resume
-                        # replays it even if the cache is disabled/cleared.
-                        journal.record_done(digest, task.key, value)
                     continue
-            pending.append(_Pending(idx, task, cache_key, digest))
-        if journal is not None:
-            journal.note_replayed(replayed)
-            for p in pending:
-                journal.record_pending(p.digest, p.task.key)
-            journal.flush()
-        if not pending:
-            return results
+            pending.append((idx, task, cache_key))
 
         def record(p: _Pending, raw: Any) -> None:
-            """Normalize, cache, journal, and slot one computed result."""
+            """Normalize, cache, and slot one computed result."""
+            idx, task, cache_key = p
             value = _normalize(raw)
-            results[p.idx] = value
-            p.recorded = True
-            if cache is not None and p.cache_key is not None:
-                cache.put(p.cache_key, value, task=p.task.key, params=p.task.kwargs)
-            if journal is not None:
-                journal.record_done(p.digest, p.task.key, value)
+            results[idx] = value
+            if cache_key is not None:
+                cache.put(cache_key, value, task=task.key, params=task.kwargs)
 
-        try:
-            if self.workers <= 1 or (len(pending) == 1 and self.timeout_s is None):
-                # A lone uncacheable point never pays for a pool — unless a
-                # timeout is requested, which only a subprocess can enforce.
-                self._run_inline(pending, record)
-            else:
-                self._run_pool(pending, record)
-        except BaseException:
-            # Interrupt hardening: whatever work completed is already in
-            # the journal's buffer — make it durable before unwinding so
-            # a resume never re-pays for finished points.
-            if journal is not None:
-                journal.flush()
-            raise
+        if self.workers <= 1 or len(pending) <= 1:
+            # A lone uncacheable point never pays for a pool.
+            for p in pending:
+                task = p[1]
+                try:
+                    raw = _invoke(task.fn, task.kwargs)
+                except Exception as exc:
+                    raise _point_failed(task, exc) from exc
+                record(p, raw)
+        else:
+            self._run_pool(pending, record)
         return results
 
-    # ------------------------------------------------------------------
-    def _run_inline(self, pending: List[_Pending], record) -> None:
-        journal = self.journal
-        for p in pending:
-            if journal is not None:
-                journal.record_running(p.digest)
-            attempt = 0
-            while True:
-                try:
-                    raw = _invoke(p.task.fn, p.task.kwargs)
-                    break
-                except Exception as exc:
-                    attempt += 1
-                    if attempt > self.retries:
-                        if journal is not None:
-                            journal.record_failed(p.digest, p.task.key, repr(exc))
-                        raise SweepExecutionError(
-                            f"sweep point {p.task.key!r} failed after "
-                            f"{attempt} attempt(s): {exc}"
-                        ) from exc
-            record(p, raw)
-
-    # ------------------------------------------------------------------
     def _run_pool(self, pending: List[_Pending], record) -> None:
-        n_workers = min(self.workers, len(pending))
-        journal = self.journal
-        supervisor = self.supervisor
-        hb_dir: Optional[str] = None
-        monitor: Optional[HeartbeatMonitor] = None
-        if supervisor is not None:
-            hb_dir = tempfile.mkdtemp(prefix="repro-hb-")
-            monitor = HeartbeatMonitor(
-                hb_dir,
-                stale_after_s=supervisor.stale_after_s,
-                poll_s=supervisor.poll_s,
-                metrics=self.metrics,
-            )
-
-        def submit(pool: ProcessPoolExecutor, p: _Pending):
-            if journal is not None:
-                journal.record_running(p.digest)
-            if hb_dir is not None:
-                return pool.submit(
-                    _supervised_invoke,
-                    p.task.fn,
-                    p.task.kwargs,
-                    hb_dir,
-                    supervisor.heartbeat_s,
-                )
-            return pool.submit(_invoke, p.task.fn, p.task.kwargs)
-
-        def harvest(futures: dict) -> None:
-            """Journal every finished-but-uncollected result (interrupt path)."""
-            for p in pending:
-                if p.recorded:
-                    continue
-                fut = futures.get(p.idx)
-                if fut is not None and fut.done() and not fut.cancelled():
-                    if fut.exception() is None:
-                        record(p, fut.result())
-
-        pool = ProcessPoolExecutor(max_workers=n_workers)
-        if monitor is not None:
-            monitor.start()
-        futures: dict = {}
+        pool = ProcessPoolExecutor(max_workers=min(self.workers, len(pending)))
         try:
-            futures.update((p.idx, submit(pool, p)) for p in pending)
-            attempts = dict.fromkeys(futures, 0)
-            restarts = 0
-            by_idx = {p.idx: p for p in pending}
+            futures = [pool.submit(_invoke, task.fn, task.kwargs) for _, task, _ in pending]
             # Collect strictly in task order so downstream consumers see
             # a deterministic sequence regardless of completion order.
-            for p in pending:
-                while True:
-                    try:
-                        raw = futures[p.idx].result(timeout=self.timeout_s)
-                        break
-                    except FutureTimeoutError as exc:
-                        futures[p.idx].cancel()
-                        attempts[p.idx] += 1
-                        if attempts[p.idx] > self.retries:
-                            if journal is not None:
-                                journal.record_failed(p.digest, p.task.key, "timeout")
-                            raise SweepExecutionError(
-                                f"sweep point {p.task.key!r} timed out after "
-                                f"{attempts[p.idx]} attempt(s) "
-                                f"(timeout_s={self.timeout_s})"
-                            ) from exc
-                        futures[p.idx] = submit(pool, p)
-                    except BrokenProcessPool as exc:
-                        # A worker died (SIGKILL from the monitor, OOM
-                        # kill...).  Everything already finished keeps its
-                        # result; rebuild the pool and requeue the rest.
-                        harvest(futures)
-                        restarts += 1
-                        max_restarts = supervisor.max_restarts if supervisor else 0
-                        if restarts > max_restarts:
-                            raise SweepExecutionError(
-                                f"worker pool broke {restarts} time(s) "
-                                f"(last while waiting on {p.task.key!r}); "
-                                "giving up after exhausting max_restarts"
-                                f"={max_restarts}"
-                            ) from exc
-                        self._count("resilience.supervisor.restarts")
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        pool = ProcessPoolExecutor(max_workers=n_workers)
-                        for q in pending:
-                            if not q.recorded:
-                                futures[q.idx] = submit(pool, q)
-                                self._count("resilience.supervisor.requeues")
-                    except Exception as exc:
-                        attempts[p.idx] += 1
-                        if attempts[p.idx] > self.retries:
-                            if journal is not None:
-                                journal.record_failed(p.digest, p.task.key, repr(exc))
-                            raise SweepExecutionError(
-                                f"sweep point {p.task.key!r} failed after "
-                                f"{attempts[p.idx]} attempt(s): {exc}"
-                            ) from exc
-                        futures[p.idx] = submit(pool, p)
-                if not p.recorded:
-                    record(p, raw)
-                # Points that finished out of order are journalled as soon
-                # as the ordered walk reaches a wait anyway; sweep them up
-                # opportunistically so a crash loses as little as possible.
-                if journal is not None:
-                    harvest(futures)
-            del by_idx
+            for p, future in zip(pending, futures):
+                task = p[1]
+                try:
+                    raw = future.result()
+                except BrokenProcessPool as exc:
+                    raise SweepExecutionError(
+                        f"a sweep worker died (while waiting on {task.key!r})"
+                    ) from exc
+                except Exception as exc:
+                    raise _point_failed(task, exc) from exc
+                record(p, raw)
         except BaseException:
-            try:
-                harvest(futures)
-            except Exception:  # noqa: BLE001 - unwinding already
-                pass
-            # A clean shutdown would block on any worker still running a
-            # timed-out point; the sweep already failed, so take the
-            # workers down with it.
-            for proc in getattr(pool, "_processes", {}).values():
+            # The sweep already failed (or was interrupted): take the
+            # workers down rather than block on points still running.
+            for proc in (getattr(pool, "_processes", None) or {}).values():
                 proc.kill()
             pool.shutdown(wait=False, cancel_futures=True)
             raise
-        finally:
-            if monitor is not None:
-                monitor.stop()
-            if hb_dir is not None:
-                shutil.rmtree(hb_dir, ignore_errors=True)
         pool.shutdown(wait=True)
-
-    def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.count(name)

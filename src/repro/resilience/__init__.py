@@ -1,9 +1,8 @@
-"""Crash-safe execution (``repro.resilience``).
+"""Durable artifacts and simulation checkpoints (``repro.resilience``).
 
 The in-simulation fault machinery (:mod:`repro.net.faults`,
 :mod:`repro.core.resilience`) models *link* failures; this package
-makes the simulator itself survive *host* failures — preemption, OOM
-kills, hung workers, an operator's Ctrl-C — without losing work:
+holds the two host-side guarantees the simulator itself relies on:
 
 :mod:`repro.resilience.atomicio`
     Atomic result writes (tmp + fsync + ``os.replace``) shared by every
@@ -16,15 +15,6 @@ kills, hung workers, an operator's Ctrl-C — without losing work:
     :meth:`repro.sim.core.Simulator.snapshot` together with full
     per-stream RNG state.  Restore-then-run is bit-identical to an
     uninterrupted run.
-
-:mod:`repro.resilience.journal`
-    A write-ahead JSONL journal of sweep-point completion, so an
-    interrupted sweep resumes from its last durable point instead of
-    restarting (``repro sweep resume`` / ``repro run --resume``).
-
-:mod:`repro.resilience.supervisor`
-    Worker heartbeats, a stale-worker killer in the parent, and
-    SIGINT/SIGTERM handlers that flush the journal before exit.
 """
 
 from repro.resilience.atomicio import atomic_write_json, atomic_write_text
@@ -34,13 +24,6 @@ from repro.resilience.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.resilience.journal import SweepJournal, default_journal_path, point_digest
-from repro.resilience.supervisor import (
-    HeartbeatMonitor,
-    SupervisorConfig,
-    flush_on_signals,
-    worker_heartbeat,
-)
 
 __all__ = [
     "atomic_write_json",
@@ -49,11 +32,4 @@ __all__ = [
     "Snapshotable",
     "load_checkpoint",
     "save_checkpoint",
-    "SweepJournal",
-    "default_journal_path",
-    "point_digest",
-    "HeartbeatMonitor",
-    "SupervisorConfig",
-    "flush_on_signals",
-    "worker_heartbeat",
 ]

@@ -1,6 +1,6 @@
 """Atomic file writes for result artifacts.
 
-A result file (CSV export, cache entry, trace JSON, journal segment)
+A result file (CSV export, cache entry, trace JSON, profile)
 must never be observable in a half-written state: a reader racing the
 writer — or a writer killed mid-``write()`` — would otherwise see a
 truncated artifact that parses as garbage or, worse, parses cleanly

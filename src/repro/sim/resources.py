@@ -40,8 +40,7 @@ class RateSchedule:
 
     Units are deliberately generic: the schedule carries bytes/s for a
     bandwidth server and grants/s for an injector gate.  Implements the
-    ``Snapshotable`` protocol so hybrid runs checkpoint/restore exactly
-    (PR 5/8 crash-safety).
+    ``Snapshotable`` protocol so hybrid runs checkpoint/restore exactly.
     """
 
     __slots__ = ("_times", "_rates")

@@ -403,7 +403,7 @@ class Program:
                         "mutates its own copy, so parallel sweeps stop being "
                         "bit-identical to serial runs — keep worker state on "
                         "per-point objects or persist through the "
-                        "journal/result-cache/atomicio paths",
+                        "result-cache/atomicio paths",
                     )
                 )
         findings.sort()

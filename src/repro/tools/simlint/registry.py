@@ -110,8 +110,8 @@ class LintConfig:
     flow_sim_roots: tuple[str, ...] = ("repro.sim",)
 
     #: Packages whose module-level writes are the *sanctioned* worker
-    #: persistence paths for SIM009: the write-ahead journal, the result
-    #: cache, atomic IO, and the heartbeat supervisor.  The analysis
+    #: persistence paths for SIM009: the result cache and sweep executor
+    #: (``repro/perf/``) and atomic IO (``repro/resilience/``).  The analysis
     #: toolchain (``repro/tools/``) is also exempt: its rule registries
     #: are populated by import-time decorators and workers never import
     #: it — only the approximate ``?.method`` call edges (e.g. a model's
@@ -135,14 +135,10 @@ class LintConfig:
     )
 
     #: Packages whose while-True retry loops are sanctioned for SIM013:
-    #: supervisor paths (the heartbeat supervisor reviving crashed sweep
-    #: workers, the resilience restart machinery) retry forever by
-    #: contract — restarting work *is* the loop's purpose, and the
-    #: supervised points themselves carry the retry budgets.
-    retry_sanctioned_fragments: tuple[str, ...] = (
-        "repro/perf/",
-        "repro/resilience/",
-    )
+    #: the sweep executor (``repro/perf/``) dispatches host-side work to
+    #: worker processes, not simulated traffic, so a re-dispatch loop
+    #: there cannot feed a simulated retry storm.
+    retry_sanctioned_fragments: tuple[str, ...] = ("repro/perf/",)
 
     def is_rng_sanctioned(self, path: str) -> bool:
         """True if *path* may construct raw generators (the registry)."""
@@ -191,7 +187,7 @@ class LintConfig:
         return any(norm.endswith("/" + s) for s in self.outage_sanctioned_suffixes)
 
     def is_retry_sanctioned(self, path: str) -> bool:
-        """True if *path* may loop retries unbounded (supervisors, SIM013)."""
+        """True if *path* may loop retries unbounded (sweep executor, SIM013)."""
         norm = "/" + path.replace("\\", "/").lstrip("/")
         return any(
             f"/{frag.strip('/')}/" in norm

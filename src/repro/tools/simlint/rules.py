@@ -690,9 +690,9 @@ class NonAtomicWriteRule(Rule):
     code = "SIM007"
     name = "non-atomic-write"
     rationale = (
-        "A crash (or SIGKILL from the heartbeat supervisor) landing "
-        "mid-write leaves a truncated file that a later resume would "
-        "silently trust; result artifacts must go through "
+        "A crash (or an operator's Ctrl-C) landing mid-write leaves a "
+        "truncated file that a later reader (the result cache, a golden "
+        "comparison) would silently trust; result artifacts must go through "
         "repro.resilience.atomicio, which stages a tmp file and renames "
         "it into place so readers only ever see complete content."
     )
@@ -1024,9 +1024,9 @@ class UnboundedRetryRule(Rule):
         "while-True loop that re-issues work after a simulated wait "
         "must consult a bounding mechanism — charge_retry / try_charge "
         "/ check_deadline / an attempt-count comparison — or raise an "
-        "Exhausted/Exceeded/Overload error.  Supervisor restart loops "
-        "are sanctioned by path: reviving crashed workers forever is "
-        "their contract, and the supervised work carries the budgets."
+        "Exhausted/Exceeded/Overload error.  The sweep executor is "
+        "sanctioned by path: it dispatches host-side work to worker "
+        "processes, not simulated traffic."
     )
 
     def check(self, module: ModuleInfo, config: LintConfig) -> Iterator[Finding]:
@@ -1127,7 +1127,7 @@ class SnapshotCompletenessRule(FlowRule):
         "generators but implements neither snapshot_state nor "
         "restore_state makes every checkpoint silently lossy: a resumed "
         "run diverges from an uninterrupted one, which defeats the "
-        "crash-safety guarantee."
+        "restore-then-run determinism contract."
     )
 
     def check_program(self, program, modules_by_rel, config) -> Iterator[Finding]:
@@ -1148,8 +1148,8 @@ class WorkerSharedStateRule(FlowRule):
         "process's private copy only.  Serial and parallel runs of the "
         "same sweep then observe different state histories and stop "
         "being bit-identical.  Worker-side persistence must flow "
-        "through the journal, the result cache, or atomicio — never "
-        "through writable globals."
+        "through the result cache or atomicio — never through writable "
+        "globals."
     )
 
     def check_program(self, program, modules_by_rel, config) -> Iterator[Finding]:
