@@ -30,10 +30,17 @@ def linear_correlation(x, y) -> float:
         raise ValueError("linear_correlation requires two equal-length series (n >= 2)")
     xc = x - x.mean()
     yc = y - y.mean()
-    denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
-    if denom == 0:
+    # Scale each centred series to unit max-magnitude so the squared sums
+    # neither underflow (tiny inputs) nor overflow (huge ones); r is
+    # scale-invariant, so this changes nothing but the rounding.
+    xs = np.abs(xc).max()
+    ys = np.abs(yc).max()
+    if xs == 0 or ys == 0:
         return float("nan")
-    return float((xc * yc).sum() / denom)
+    xc = xc / xs
+    yc = yc / ys
+    denom = np.sqrt((xc * xc).sum()) * np.sqrt((yc * yc).sum())
+    return float(np.clip((xc * yc).sum() / denom, -1.0, 1.0))
 
 
 def bandwidth_delay_product(bandwidth_bytes_per_s, latency_ps) -> np.ndarray:

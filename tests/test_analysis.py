@@ -35,6 +35,11 @@ class TestLinearCorrelation:
         with pytest.raises(ValueError):
             linear_correlation([1], [1, 2])
 
+    def test_extreme_magnitudes_stay_bounded(self):
+        tiny = 3.672511400485559e-81  # squared sums underflow to subnormals
+        assert linear_correlation([0.0, tiny], [tiny, 0.0]) == pytest.approx(-1.0)
+        assert linear_correlation([1e300, -1e300], [1, 2]) == pytest.approx(-1.0)
+
     @given(
         st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=50),
     )
