@@ -9,7 +9,7 @@ from repro.experiments import fig7_mcln
 
 
 def test_fig7_mcln(benchmark):
-    result = run_and_report(benchmark, fig7_mcln.run, mode="des")
+    result = run_and_report(benchmark, fig7_mcln.run)
     bws = [row[1] for row in result.rows]
     benchmark.extra_info["borrower_gbs"] = bws
     benchmark.extra_info["variation"] = (max(bws) - min(bws)) / max(bws)

@@ -28,14 +28,25 @@ def render_table(
     rows: Iterable[Sequence[object]],
     col_width: int = 14,
 ) -> str:
-    """Fixed-width text table with a title and a header rule."""
+    """Fixed-width text table with a title and a header rule.
+
+    A cell too wide for its column overflows to the right; past the
+    first column it keeps one leading space so neighbours never merge.
+    """
     lines = [title]
-    header = "".join(str(c).rjust(col_width) for c in columns)
+    header = _render_row([str(c) for c in columns], col_width)
     lines.append(header)
     lines.append("-" * len(header))
     for row in rows:
-        lines.append("".join(_cell(v).rjust(col_width) for v in row))
+        lines.append(_render_row([_cell(v) for v in row], col_width))
     return "\n".join(lines)
+
+
+def _render_row(cells: Sequence[str], col_width: int) -> str:
+    return "".join(
+        " " + text if i and len(text) >= col_width else text.rjust(col_width)
+        for i, text in enumerate(cells)
+    )
 
 
 def render_series(

@@ -20,14 +20,13 @@ and adds two extensions the paper names as future work:
 
 from __future__ import annotations
 
-from math import ceil
 from typing import Optional
 
 from repro.axi.ratelimit import SlotGate
 from repro.config import DelayInjectionConfig, FpgaConfig
 from repro.core.delay.distributions import DelayDistribution, make_delay_distribution
 from repro.core.delay.schedule import DelaySchedule
-from repro.sim import RateSchedule, RngStreams, SampleSeries
+from repro.sim import RngStreams, SampleSeries
 from repro.units import Duration, Time
 
 __all__ = ["DelayInjector"]
@@ -78,8 +77,6 @@ class DelayInjector:
         )
         # Distribution mode tracks its own last grant on the clock grid.
         self._last_grant: Time = -self._t_cyc
-        # Fluid background grants/s (hybrid engine); None = pure DES.
-        self._background: Optional[RateSchedule] = None
         self.waits = SampleSeries("injector.wait")
         # Running total of ``waits`` (ps); an int stays exact where a
         # float sum of the series would have to re-read every sample.
@@ -99,38 +96,6 @@ class DelayInjector:
     def _ceil_to_clock(self, t: Time) -> Time:
         t_cyc = self._t_cyc
         return -(-t // t_cyc) * t_cyc
-
-    def set_background(self, schedule: Optional[RateSchedule]) -> None:
-        """Attach (or clear) fluid background demand on the gate.
-
-        The schedule's units are background *grants/s*.  Foreground
-        grants then space out at the residual grant rate — the gate's
-        max-min share under contention — snapped to the clock grid.
-        Only constant-PERIOD injection supports backgrounds (the hybrid
-        engine never combines them with schedules or distributions).
-        """
-        if schedule and (self.schedule is not None or self._distribution is not None):
-            raise RuntimeError(
-                "background traffic requires constant-PERIOD injection"
-            )
-        self._background = schedule if schedule else None
-
-    def _admit_background(self, at: Time) -> Time:
-        """Grant under fluid background contention (hybrid engine)."""
-        background = self._background
-        assert background is not None
-        capacity = 1e12 / self._gate.interval  # grants/s absent contention
-        net = capacity - background.rate_at(max(at, self._last_grant))
-        floor = capacity * 1e-9
-        if net < floor:
-            net = floor
-        spacing = 1e12 / net
-        earliest = max(at, self._last_grant + spacing)
-        grant = self._ceil_to_clock(ceil(earliest))
-        if grant <= self._last_grant:
-            grant = self._last_grant + self._t_cyc
-        self._last_grant = grant
-        return grant
 
     def _admit_scheduled(self, at: Time) -> Time:
         """Grant under a time-varying schedule, piecewise per step.
@@ -171,10 +136,7 @@ class DelayInjector:
         if self.schedule is not None and self._distribution is None:
             grant = self._admit_scheduled(at)
         elif self._distribution is None:
-            if self._background is not None:
-                grant = self._admit_background(at)
-            else:
-                grant = self._gate.reserve(at)
+            grant = self._gate.reserve(at)
         else:
             spacing = self._distribution.draw_cycles() * self._t_cyc
             earliest = max(at, self._last_grant + spacing)
@@ -225,11 +187,7 @@ class DelayInjector:
         read of the reservation cursor, so the decision is
         deterministic and costs nothing on the granting path.
         """
-        if (
-            self._distribution is None
-            and self.schedule is None
-            and self._background is None
-        ):
+        if self._distribution is None and self.schedule is None:
             last = self._gate.busy_until() - self._gate.interval
         else:
             last = self._last_grant

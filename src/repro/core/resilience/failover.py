@@ -354,17 +354,6 @@ class EvacuationReplayer:
     page *n+1* departs when page *n* arrives — so foreground datapath
     traffic interleaves with the replay on shared fabric hops instead
     of being locked out for the whole transfer.
-
-    ``fluid=True`` offloads the replay to the hybrid engine: page
-    arrivals come from the closed form of the same store-and-forward
-    pacing (one page per uncontended path time), and the replay's
-    bandwidth is installed as a background
-    :class:`~repro.sim.resources.RateSchedule` on every hop channel of
-    the path, so co-running discrete traffic still sees the load — at
-    two events total instead of one event chain per page.  Concurrent
-    fluid replays compose (schedules add per hop).  A lossy fabric
-    falls back to the discrete replay: per-page loss draws consume
-    named RNG streams that a closed form cannot reproduce.
     """
 
     def __init__(
@@ -375,7 +364,6 @@ class EvacuationReplayer:
         dst,
         n_pages: int,
         page_bytes: int = DEFAULT_PAGE_BYTES,
-        fluid: bool = False,
     ) -> None:
         if n_pages < 1:
             raise ReproError("an evacuation moves at least one page")
@@ -387,7 +375,6 @@ class EvacuationReplayer:
         self.dst = dst
         self.n_pages = n_pages
         self.page_bytes = page_bytes
-        self.fluid = bool(fluid) and not getattr(fabric, "lossy", False)
         self.pages_sent = 0
         self.page_arrivals: List[Time] = []
         self.started_at: Optional[Time] = None
@@ -406,31 +393,7 @@ class EvacuationReplayer:
         if self.started_at is not None:
             raise ReproError("replayer already started")
         self.started_at = self.sim.now + delay
-        if self.fluid:
-            self.sim.schedule(delay, self._start_fluid)
-        else:
-            self.sim.schedule(delay, self._step)
-
-    def _start_fluid(self) -> None:
-        """Solve the whole replay in closed form and install its load."""
-        from repro.sim.resources import RateSchedule
-
-        start = self.sim.now
-        page_ps = max(1, int(self.fabric.path_latency(self.page_bytes, self.src, self.dst)))
-        self.page_arrivals = [start + (k + 1) * page_ps for k in range(self.n_pages)]
-        self.pages_sent = self.n_pages
-        # One page in flight at a time: each hop carries page_bytes per
-        # path time until the last page departs its first hop.
-        load = RateSchedule(
-            [
-                (start, self.page_bytes * 1e12 / page_ps),
-                (self.page_arrivals[-1], 0.0),
-            ]
-        )
-        for channel in self.fabric.path_channels(self.src, self.dst):
-            prior = channel.background
-            channel.set_background(load if prior is None else prior + load)
-        self.sim.schedule(self.page_arrivals[-1] - start, self._finish)
+        self.sim.schedule(delay, self._step)
 
     def _step(self) -> None:
         arrival = self.fabric.transmit(
@@ -511,23 +474,18 @@ class EvacuationPolicy(FailoverPolicy):
     over the shared fabric (:class:`EvacuationReplayer`) at real
     simulated cost before remote service resumes.  When no survivor
     has capacity the pair degrades to quarantine instead of crashing.
-    ``fluid=True`` replays in closed form under the hybrid engine
-    (see :class:`EvacuationReplayer`).
     """
 
     name = "evacuate"
 
-    def __init__(self, page_bytes: int = DEFAULT_PAGE_BYTES, fluid: bool = False) -> None:
+    def __init__(self, page_bytes: int = DEFAULT_PAGE_BYTES) -> None:
         if page_bytes < 1:
             raise ReproError("page_bytes must be positive")
         self.page_bytes = page_bytes
-        self.fluid = fluid
 
     def apply(self, coordinator, lender_index: int, now: Time) -> None:
         for pair in coordinator.pairs_on(lender_index):
-            coordinator.evacuate_pair(
-                pair, now, page_bytes=self.page_bytes, fluid=self.fluid
-            )
+            coordinator.evacuate_pair(pair, now, page_bytes=self.page_bytes)
 
 
 def policy_by_name(name: str) -> FailoverPolicy:
@@ -600,9 +558,7 @@ def _failover_point(
     n_lines: int,
     seed: int,
     loss: float = 0.0,
-    page_bytes: int = DEFAULT_PAGE_BYTES,
     heartbeat_us: float = 20.0,
-    fluid_evacuation: bool = False,
     obs=None,
 ) -> dict:
     """Run one (policy, failure scenario) point; module-level for workers.
@@ -626,11 +582,6 @@ def _failover_point(
     assignment = [i % n_lenders for i in range(n_pairs)]
     health = HealthParams(period_ps=int(microseconds(heartbeat_us)))
 
-    def make_policy():
-        if policy == "evacuate" and fluid_evacuation:
-            return EvacuationPolicy(page_bytes=page_bytes, fluid=True)
-        return policy_by_name(policy)
-
     def build(schedules):
         deployment = BeyondRackDeployment(
             n_pairs,
@@ -638,7 +589,7 @@ def _failover_point(
             cluster=cluster,
             n_lenders=n_lenders,
             lender_schedules=schedules,
-            failover=make_policy() if schedules else None,
+            failover=policy_by_name(policy) if schedules else None,
             health=health,
             fabric_fault=fabric_fault,
             obs=obs if schedules else None,
@@ -754,7 +705,6 @@ def failover_sweep(
     n_lines: int = 20_000,
     seed: int = 1234,
     loss: float = 0.0,
-    fluid_evacuation: bool = False,
     obs=None,
     workers: int = 1,
     cache=None,
@@ -779,8 +729,6 @@ def failover_sweep(
                     f"/mttr={mttr_ms!r}/lenders={n_lenders}/pairs={n_pairs}"
                     f"/loss={loss!r}"
                 )
-                if fluid_evacuation:
-                    key += "/evac=fluid"
                 keyed.append((policy, kind, n_lenders, key))
     common = {
         "mtbf_ms": mtbf_ms,
@@ -788,7 +736,6 @@ def failover_sweep(
         "n_pairs": n_pairs,
         "n_lines": n_lines,
         "loss": loss,
-        "fluid_evacuation": fluid_evacuation,
     }
     if obs is not None:
         outputs = [

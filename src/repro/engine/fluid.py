@@ -13,10 +13,11 @@ dominates, and ``L0 + (n-1)*b`` for a small burst.  Steady-state
 sojourn follows Little's law, ``T_sojourn = C_eff * max(b, (L0+z)/C)``,
 which is what yields the paper's constant bandwidth-delay product.
 
-Multi-tenant contention (Figs. 6 and 7) is solved by max-min fair
-allocation of each shared resource's capacity across flows
-(:func:`solve_max_min_shares`), the fluid counterpart of the DES
-engine's FIFO interleaving.
+Borrower-side contention (Fig. 6) gives each of N identical remote
+flows an equal share of the gate and link
+(:meth:`FluidEngine.contended_remote_engines`), the fluid counterpart
+of the DES engine's FIFO interleaving; :func:`solve_max_min_shares` is
+the general max-min fair allocation across flows.
 
 All sweep APIs accept NumPy arrays of PERIOD values and evaluate
 vectorized, per the project's HPC style guides.
@@ -25,7 +26,7 @@ vectorized, per the project's HPC style guides.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -33,15 +34,11 @@ from repro.config import ClusterConfig
 from repro.engine.model import PathModel
 from repro.engine.phases import AccessPhase, Location, PhaseProgram
 from repro.errors import ConfigError
-from repro.sim.resources import RateSchedule
 from repro.units import Duration
 
 __all__ = [
     "FlowSpec",
     "solve_max_min_shares",
-    "TimedFlow",
-    "FlowTimeline",
-    "solve_rate_timeline",
     "FluidEngine",
     "FluidRun",
 ]
@@ -122,195 +119,6 @@ def solve_max_min_shares(
             for res in flow.resources:
                 remaining[res] = max(0.0, remaining[res] - rate)
     return alloc
-
-
-@dataclass(frozen=True)
-class TimedFlow:
-    """A finite-volume flow for the piecewise-constant timeline solver.
-
-    Unlike :class:`FlowSpec`, a timed flow has a *volume* (total lines
-    to move) and per-resource *costs* (units consumed per line —
-    e.g. bytes on a link direction, one grant on the injector gate), so
-    heterogeneous flows can share a resource pool.
-
-    Attributes
-    ----------
-    name:
-        Flow identifier.
-    demand:
-        Offered rate in lines/s absent contention.
-    volume:
-        Total lines the flow moves; ``None`` means open-ended (the
-        flow persists for the whole timeline).
-    costs:
-        ``{resource: units per line}``; resources with zero cost may
-        be omitted.
-    background:
-        True for bulk traffic the hybrid engine folds into per-resource
-        :class:`~repro.sim.resources.RateSchedule` backgrounds; False
-        for the measured foreground flow (included in the solve so the
-        allocation is consistent, but never added to a schedule).
-    weight:
-        Share weight under contention.  FIFO reservation servers grant
-        service proportional to each requester's queue presence, so a
-        flow's weight is its outstanding-transaction depth (the DES
-        engines' emergent division); equal weights give the classic
-        equal split.
-    """
-
-    name: str
-    demand: float
-    volume: Optional[float]
-    costs: Mapping[str, float]
-    background: bool = True
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.demand <= 0:
-            raise ConfigError(f"flow demand must be > 0, got {self.demand}")
-        if self.volume is not None and self.volume <= 0:
-            raise ConfigError(f"flow volume must be > 0, got {self.volume}")
-        if not any(c > 0 for c in self.costs.values()):
-            raise ConfigError(f"flow {self.name!r} must consume at least one resource")
-        if self.weight <= 0:
-            raise ConfigError(f"flow weight must be > 0, got {self.weight}")
-
-
-def _max_min_rates(
-    flows: Iterable[TimedFlow], capacities: Mapping[str, float]
-) -> Dict[str, float]:
-    """Weighted max-min rates (lines/s) for heterogeneous-cost flows.
-
-    Progressive filling on the *normalized* rate ``r`` (each flow runs
-    at ``weight * r``): a resource saturates when
-    ``sum(cost_f * weight_f * r) == remaining``, freezing every flow
-    that crosses it; demand-limited flows freeze at
-    ``r = demand / weight``.  With unit costs and equal weights this
-    reduces to :func:`solve_max_min_shares`.
-    """
-    remaining = {r: float(c) for r, c in capacities.items()}
-    alloc: Dict[str, float] = {}
-    active = {f.name: f for f in flows}
-    while active:
-        load: Dict[str, float] = {}
-        for flow in active.values():
-            for res, cost in flow.costs.items():
-                if cost > 0:
-                    load[res] = load.get(res, 0.0) + cost * flow.weight
-        rate_cap = {res: remaining[res] / total for res, total in load.items()}
-        candidate = {
-            name: min(
-                min(rate_cap[res] for res, c in flow.costs.items() if c > 0),
-                flow.demand / flow.weight,
-            )
-            for name, flow in active.items()
-        }
-        floor = min(candidate.values())
-        frozen = [n for n, r in candidate.items() if r <= floor * (1 + 1e-12) + 1e-12]
-        for name in frozen:
-            flow = active.pop(name)
-            rate = candidate[name] * flow.weight
-            alloc[name] = rate
-            for res, cost in flow.costs.items():
-                remaining[res] = max(0.0, remaining[res] - cost * rate)
-    return alloc
-
-
-@dataclass(frozen=True)
-class FlowTimeline:
-    """Solved piecewise-constant rate timeline over a set of flows.
-
-    ``segments`` are ``(t0_ps, t1_ps, {flow: lines/s})`` with ``t1``
-    ``None`` on an open-ended final segment; ``finish_ps`` maps each
-    finite-volume flow to its completion time.
-    """
-
-    flows: Tuple[TimedFlow, ...]
-    segments: Tuple[Tuple[float, Optional[float], Mapping[str, float]], ...]
-    finish_ps: Mapping[str, float]
-
-    def flow_rate_at(self, name: str, t: float) -> float:
-        """Allocated rate (lines/s) of *name* at time *t*."""
-        for t0, t1, alloc in self.segments:
-            if t >= t0 and (t1 is None or t < t1):
-                return alloc.get(name, 0.0)
-        return 0.0
-
-    def end_ps(self) -> float:
-        """Completion time of the last finite flow (0 with no flows)."""
-        return max(self.finish_ps.values(), default=0.0)
-
-    def background_schedule(self, resource: str) -> RateSchedule:
-        """Aggregate background consumption of *resource* (units/s).
-
-        Sums ``rate * cost`` over flows marked ``background`` per
-        segment — ready to hand to
-        :meth:`~repro.mem.bus.BandwidthServer.set_background` (or the
-        injector's) so discrete foreground traffic sees the residual
-        capacity.
-        """
-        costs = {
-            f.name: f.costs.get(resource, 0.0) for f in self.flows if f.background
-        }
-        points: list[Tuple[int, float]] = []
-        for t0, t1, alloc in self.segments:
-            rate = sum(alloc.get(n, 0.0) * c for n, c in costs.items())
-            points.append((round(t0), rate))
-        if self.segments and self.segments[-1][1] is not None:
-            points.append((round(self.segments[-1][1]), 0.0))
-        cleaned: list[Tuple[int, float]] = []
-        for t, r in points:
-            if cleaned and t <= cleaned[-1][0]:
-                cleaned[-1] = (cleaned[-1][0], r)  # same ps tick: last wins
-            elif cleaned and r == cleaned[-1][1]:
-                continue  # merge equal-rate neighbours
-            else:
-                cleaned.append((t, r))
-        return RateSchedule(cleaned)
-
-
-def solve_rate_timeline(
-    flows: Sequence[TimedFlow],
-    capacities: Mapping[str, float],
-    start_ps: float = 0.0,
-) -> FlowTimeline:
-    """Event-driven fluid solve: max-min rates between flow completions.
-
-    All flows start at *start_ps*; at each completion the remaining
-    flows' rates are re-solved (the freed capacity redistributes), so
-    the timeline is exact for piecewise-constant max-min dynamics.
-    """
-    names = set()
-    for flow in flows:
-        if flow.name in names:
-            raise ConfigError(f"duplicate flow name {flow.name!r}")
-        names.add(flow.name)
-        for res in flow.costs:
-            if res not in capacities:
-                raise ConfigError(f"flow {flow.name!r} crosses unknown resource {res!r}")
-    remaining = {f.name: float(f.volume) for f in flows if f.volume is not None}
-    active = {f.name: f for f in flows}
-    t = float(start_ps)
-    segments: list[Tuple[float, Optional[float], Mapping[str, float]]] = []
-    finish: Dict[str, float] = {}
-    while any(name in remaining for name in active):
-        alloc = _max_min_rates(active.values(), capacities)
-        for name in active:
-            if name in remaining and alloc[name] <= 0.0:
-                raise ConfigError(f"flow {name!r} is starved and can never finish")
-        dt_s = min(remaining[n] / alloc[n] for n in active if n in remaining)
-        t_next = t + dt_s * 1e12
-        segments.append((t, t_next, alloc))
-        for name in [n for n in active if n in remaining]:
-            remaining[name] -= alloc[name] * dt_s
-            if remaining[name] <= 1e-9 * max(1.0, float(active[name].volume or 1.0)):
-                del remaining[name]
-                del active[name]
-                finish[name] = t_next
-        t = t_next
-    if active:  # open-ended flows keep the steady-state allocation
-        segments.append((t, None, _max_min_rates(active.values(), capacities)))
-    return FlowTimeline(flows=tuple(flows), segments=tuple(segments), finish_ps=finish)
 
 
 @dataclass(frozen=True)
@@ -465,7 +273,7 @@ class FluidEngine:
         return sojourn, bandwidth, bdp
 
     # ------------------------------------------------------------------
-    # Contention helpers (Figs. 6, 7)
+    # Contention helper (Fig. 6)
     # ------------------------------------------------------------------
     def contended_remote_engines(self, n_borrower_flows: int) -> "FluidEngine":
         """Engine view for one of N identical remote flows (MCBN)."""
@@ -476,32 +284,6 @@ class FluidEngine:
             remote_share=self.remote_share / n_borrower_flows,
             lender_bus_share=self.lender_bus_share,
         )
-
-    def mcln_allocation(
-        self,
-        remote_demand_lines_per_s: float,
-        local_demand_lines_per_s: float,
-        n_local_flows: int,
-    ) -> Dict[str, float]:
-        """Max-min allocation of the lender bus (MCLN scenario).
-
-        One remote flow (crossing gate, link and lender bus) competes
-        with *n_local_flows* lender-local flows (bus only).
-        """
-        m = self.model
-        capacities = {
-            "gate": 1e12 / m.gate_interval,
-            "link": 1e12 / max(m.link_fwd_interval, m.link_rev_interval),
-            "lender_bus": 1e12 / m.bus_interval,
-        }
-        flows = [
-            FlowSpec("remote", remote_demand_lines_per_s, ("gate", "link", "lender_bus"))
-        ]
-        flows += [
-            FlowSpec(f"local{i}", local_demand_lines_per_s, ("lender_bus",))
-            for i in range(n_local_flows)
-        ]
-        return solve_max_min_shares(flows, capacities)
 
 
 def scaled_phase(phase: AccessPhase, factor: float) -> AccessPhase:

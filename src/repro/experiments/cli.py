@@ -31,12 +31,6 @@ from repro.experiments.registry import (
 
 __all__ = ["main"]
 
-#: Experiments with a genuine fluid-background offload path.  Others
-#: fall back to ``des`` under ``--engine hybrid`` (a hybrid run with
-#: zero background flows is byte-identical to DES by construction).
-HYBRID_EXPERIMENTS = frozenset({"fig6", "fig7", "failover", "metastable"})
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -54,13 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("experiment", help="experiment id (fig2..fig7, table1, ablation-*)")
     run_p.add_argument(
         "--engine",
-        choices=("des", "fluid", "hybrid"),
+        choices=("des", "fluid"),
         default=None,
-        help=(
-            "engine (default: each experiment's native engine); hybrid "
-            "offloads bulk background traffic to fluid flows while the "
-            "measured instance stays discrete"
-        ),
+        help="engine (default: each experiment's native engine)",
     )
     run_p.add_argument("--quick", action="store_true", help="reduced problem sizes")
     run_p.add_argument(
@@ -184,9 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     all_p = sub.add_parser("all", help="run every experiment")
-    all_p.add_argument(
-        "--engine", choices=("des", "fluid", "hybrid"), default=None
-    )
+    all_p.add_argument("--engine", choices=("des", "fluid"), default=None)
     all_p.add_argument("--quick", action="store_true")
     _add_perf_arguments(all_p)
 
@@ -346,6 +334,16 @@ def _accepted_kwargs(name: str) -> frozenset:
         return frozenset()
 
 
+def _engine_kwargs(name: str, engine: Optional[str], accepted: frozenset) -> dict:
+    """``{"mode": engine}`` for runners that take one; a note otherwise."""
+    if engine is None:
+        return {}
+    if "mode" in accepted:
+        return {"mode": engine}
+    print(f"  (note: {name} does not support --engine; flag ignored)")
+    return {}
+
+
 def _build_obs(args):
     """Observability bundle for the run flags, or None when all are off."""
     profile = bool(args.profile or args.profile_out)
@@ -396,12 +394,7 @@ def _run_one(
     cache=None,
 ) -> bool:
     accepted = _accepted_kwargs(name)
-    kwargs = {}
-    if engine == "hybrid" and name not in HYBRID_EXPERIMENTS:
-        print(f"  (note: {name} has no background traffic to offload; running des)")
-        engine = "des"
-    if engine is not None and not name.startswith("ablation-"):
-        kwargs["mode"] = engine
+    kwargs = _engine_kwargs(name, engine, accepted)
     if quick and "quick" in accepted:
         kwargs["quick"] = quick
     if obs is not None:
@@ -559,12 +552,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     per_experiment = {}
     for name in names:
         accepted = _accepted_kwargs(name)
-        kwargs = {}
-        if args.engine is not None and not name.startswith("ablation-"):
-            engine = args.engine
-            if engine == "hybrid" and name not in HYBRID_EXPERIMENTS:
-                engine = "des"
-            kwargs["mode"] = engine
+        kwargs = _engine_kwargs(name, args.engine, accepted)
         if args.quick and "quick" in accepted:
             kwargs["quick"] = True
         per_experiment[name] = kwargs

@@ -29,7 +29,6 @@ DEFAULT_MTTR_MS = (0.1, 0.5, 2.0)
 
 
 def run(
-    mode: str = "des",
     policies: Sequence[str] = DEFAULT_POLICIES,
     kinds: Optional[Sequence[str]] = None,
     mtbf_ms: float = 0.0,
@@ -49,15 +48,8 @@ def run(
     restart-after-downtime failures across a repair-window ladder.
     ``mtbf_ms > 0`` draws outage sequences from named RNG streams
     instead of the single pinned failure.  ``loss`` additionally makes
-    every shared-fabric hop lossy (satellite of PR 3's chaos mode).
-    ``mode="hybrid"`` replays evacuations as fluid flows (closed-form
-    page arrivals, replay bandwidth installed as background rate
-    schedules on the fabric hops) instead of one event chain per page;
-    the lossy fabric of ``loss > 0`` forces the discrete replay back.
+    every shared-fabric hop lossy (chaos mode).
     """
-    # Datapath attach/detach is stateful, so the foreground always runs
-    # DES; hybrid offloads only the bulk evacuation replay streams.
-    fluid_evacuation = mode == "hybrid"
     if kinds is None:
         kinds = ("crash",) if quick else ("crash", "restart")
     ladder = tuple(mttr_ms) if mttr_ms is not None else (
@@ -76,7 +68,6 @@ def run(
             n_pairs=n_pairs,
             n_lines=n_lines,
             loss=loss,
-            fluid_evacuation=fluid_evacuation,
             obs=obs,
             workers=workers,
             cache=cache,

@@ -16,10 +16,8 @@ import numpy as np
 
 from repro.analysis.stats import jain_fairness
 from repro.calibration import paper_cluster_config
-from repro.engine.des import DesPhaseDriver, run_concurrent
+from repro.engine.des import run_concurrent
 from repro.engine.fluid import FluidEngine
-from repro.engine.hybrid import HybridContention, mcbn_background
-from repro.engine.model import PathModel
 from repro.engine.phases import Location
 from repro.experiments.base import ExperimentResult
 from repro.node.cluster import ThymesisFlowSystem
@@ -29,10 +27,6 @@ from repro.workloads.stream import StreamConfig, StreamWorkload
 __all__ = ["run"]
 
 DEFAULT_COUNTS: tuple[int, ...] = (1, 2, 4, 8, 16)
-#: Quick-mode contention levels.  Hybrid offload makes the high end
-#: cheap (contenders are fluid), so quick sweeps push further out to
-#: exercise the equal-division law where it matters.
-QUICK_COUNTS: tuple[int, ...] = (1, 8, 96, 384)
 QUICK_ELEMENTS = 2_500
 
 
@@ -47,35 +41,6 @@ def _mcbn_point(n: int, period: int, stream: StreamConfig, mode: str, obs=None) 
         if obs is not None:
             obs.finish_system(system)
         bws = [r.bandwidth_bytes_per_s for r in results]
-    elif mode == "hybrid":
-        # One discrete (measured) instance; the other n-1 contenders
-        # run as fluid background flows on the shared gate/link/bus.
-        config = paper_cluster_config(period=period)
-        system = ThymesisFlowSystem(config, obs=obs, obs_label=f"n={n}")
-        system.attach_or_raise()
-        program = StreamWorkload(stream).program(Location.REMOTE)
-        loads = mcbn_background(PathModel.from_config(config), program, n - 1)
-        contention = HybridContention(
-            system, loads, foreground=program, start_ps=system.sim.now
-        )
-        with contention:
-            result = DesPhaseDriver(
-                system, program, instance="w0", footprint_lines=1 << 14
-            ).run_to_completion()
-        if obs is not None:
-            obs.finish_system(system)
-        bws = [result.bandwidth_bytes_per_s] + [
-            contention.background_bandwidth_bytes_per_s(load.name) for load in loads
-        ]
-        return {
-            "bandwidths": bws,
-            "events": {
-                "simulated": system.sim.events_processed,
-                "equivalent": contention.equivalent_events(
-                    system.sim.events_processed, result.lines
-                ),
-            },
-        }
     else:
         engine = FluidEngine(paper_cluster_config(period=period)).contended_remote_engines(n)
         run_result = engine.run(StreamWorkload(stream).program(Location.REMOTE))
@@ -100,10 +65,11 @@ def run(
     optional :class:`repro.obs.Observability` bundle; each contention
     level becomes one traced run (spans cannot cross processes or the
     result cache, so tracing forces inline, uncached execution).
-    ``quick`` shrinks the arrays and sweeps (1, 4, 16, 64) instances.
+    ``quick`` shrinks the arrays to ``QUICK_ELEMENTS`` and keeps the
+    instance counts.
     """
     if instance_counts is None:
-        instance_counts = QUICK_COUNTS if quick else DEFAULT_COUNTS
+        instance_counts = DEFAULT_COUNTS
     stream_cfg = stream or StreamConfig(
         n_elements=QUICK_ELEMENTS if quick else 10_000
     )

@@ -16,10 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.calibration import paper_cluster_config
-from repro.engine.des import DesPhaseDriver, run_concurrent
-from repro.engine.fluid import FluidEngine
-from repro.engine.hybrid import LENDER_BUS, HybridContention, mcln_background
-from repro.engine.model import PathModel
+from repro.engine.des import run_concurrent
 from repro.engine.phases import Location
 from repro.experiments.base import ExperimentResult
 from repro.node.cluster import ThymesisFlowSystem
@@ -29,11 +26,6 @@ from repro.workloads.stream import StreamConfig, StreamWorkload
 __all__ = ["run"]
 
 DEFAULT_COUNTS: tuple[int, ...] = (0, 2, 4, 8, 16)
-#: Quick-mode lender load levels (hybrid offload makes the high end
-#: cheap — the local hammers are fluid flows, not events).  Capped at
-#: 96: beyond ~100 hammers the lender bus genuinely saturates and the
-#: paper's flat-bandwidth observation no longer applies.
-QUICK_COUNTS: tuple[int, ...] = (0, 32, 64, 96)
 QUICK_ELEMENTS = 2_500
 
 #: Outstanding accesses of one lender-local STREAM instance.  Local
@@ -43,21 +35,35 @@ QUICK_ELEMENTS = 2_500
 LENDER_LOCAL_CONCURRENCY = 10
 
 
-def _mcln_point(
-    n_local: int, period: int, stream: StreamConfig, mode: str, obs=None
-) -> dict:
+def _mcln_point(n_local: int, period: int, stream: StreamConfig, obs=None) -> dict:
     """Borrower bandwidth at one lender load level (worker-runnable)."""
-    if mode == "des":
-        bw, lender_bus_util = _run_des(stream, n_local, period, obs=obs)
-    elif mode == "hybrid":
-        return _run_hybrid(stream, n_local, period, obs=obs)
-    else:
-        bw, lender_bus_util = _run_fluid(stream, n_local, period)
-    return {"borrower_bw": bw, "lender_bus_util": lender_bus_util}
+    config = paper_cluster_config(period=period)
+    system = ThymesisFlowSystem(config, obs=obs, obs_label=f"n_local={n_local}")
+    system.attach_or_raise()
+    remote_program = StreamWorkload(stream).program(Location.REMOTE)
+    # Lender-local instances get enough work to outlast the borrower
+    # run, so the borrower sees contention for its whole measurement.
+    local_cfg = replace(
+        stream,
+        n_elements=stream.n_elements * 2,
+        concurrency=LENDER_LOCAL_CONCURRENCY,
+    )
+    local_programs = [
+        StreamWorkload(local_cfg).program(Location.LENDER_LOCAL) for _ in range(n_local)
+    ]
+    results = run_concurrent(system, [remote_program, *local_programs])
+    if obs is not None:
+        obs.finish_system(system)
+    borrower_result = results[0]
+    # Mean utilization over the whole co-run: bytes actually served
+    # against what the bus could have served.
+    bus = system.lender.dram.bus
+    elapsed_s = system.sim.now / 1e12
+    util = bus.bytes_served / (bus.rate * elapsed_s) if elapsed_s > 0 else 0.0
+    return {"borrower_bw": borrower_result.bandwidth_bytes_per_s, "lender_bus_util": util}
 
 
 def run(
-    mode: str = "des",
     lender_counts: Sequence[int] | None = None,
     stream: StreamConfig | None = None,
     period: int = 1,
@@ -72,29 +78,25 @@ def run(
     them over the :mod:`repro.perf` sweep executor.  *obs* traces each
     lender load level as its own run (tracing forces inline, uncached
     execution — spans cannot cross processes or the result cache).
-    ``quick`` shrinks the arrays and sweeps (0, 4, 16, 64) hammers.
+    ``quick`` shrinks the arrays to ``QUICK_ELEMENTS`` and keeps the
+    hammer counts.
     """
     if lender_counts is None:
-        lender_counts = QUICK_COUNTS if quick else DEFAULT_COUNTS
+        lender_counts = DEFAULT_COUNTS
     borrower_cfg = stream or StreamConfig(
         n_elements=QUICK_ELEMENTS if quick else 10_000
     )
     if obs is not None:
         outputs = [
-            _mcln_point(n_local, period, borrower_cfg, mode, obs=obs)
+            _mcln_point(n_local, period, borrower_cfg, obs=obs)
             for n_local in lender_counts
         ]
     else:
         tasks = [
             PointTask(
-                key=f"mcln/mode={mode}/period={period}/n_local={n_local}",
+                key=f"mcln/period={period}/n_local={n_local}",
                 fn=_mcln_point,
-                kwargs={
-                    "n_local": n_local,
-                    "period": period,
-                    "stream": borrower_cfg,
-                    "mode": mode,
-                },
+                kwargs={"n_local": n_local, "period": period, "stream": borrower_cfg},
             )
             for n_local in lender_counts
         ]
@@ -123,98 +125,3 @@ def run(
             "network remains the bottleneck (bus is ~18x faster than the link)."
         ),
     )
-
-
-def _run_des(
-    borrower_cfg: StreamConfig, n_local: int, period: int, obs=None
-) -> tuple[float, float]:
-    config = paper_cluster_config(period=period)
-    system = ThymesisFlowSystem(config, obs=obs, obs_label=f"n_local={n_local}")
-    system.attach_or_raise()
-    remote_program = StreamWorkload(borrower_cfg).program(Location.REMOTE)
-    # Lender-local instances get enough work to outlast the borrower
-    # run, so the borrower sees contention for its whole measurement.
-    local_cfg = replace(
-        borrower_cfg,
-        n_elements=borrower_cfg.n_elements * 2,
-        concurrency=LENDER_LOCAL_CONCURRENCY,
-    )
-    local_programs = [
-        StreamWorkload(local_cfg).program(Location.LENDER_LOCAL) for _ in range(n_local)
-    ]
-    results = run_concurrent(system, [remote_program, *local_programs])
-    if obs is not None:
-        obs.finish_system(system)
-    borrower_result = results[0]
-    # Mean utilization over the whole co-run: bytes actually served
-    # against what the bus could have served.
-    bus = system.lender.dram.bus
-    elapsed_s = system.sim.now / 1e12
-    util = bus.bytes_served / (bus.rate * elapsed_s) if elapsed_s > 0 else 0.0
-    return borrower_result.bandwidth_bytes_per_s, util
-
-
-def _run_hybrid(borrower_cfg: StreamConfig, n_local: int, period: int, obs=None) -> dict:
-    """Discrete borrower instance, fluid lender-local hammers."""
-    config = paper_cluster_config(period=period)
-    system = ThymesisFlowSystem(config, obs=obs, obs_label=f"n_local={n_local}")
-    system.attach_or_raise()
-    remote_program = StreamWorkload(borrower_cfg).program(Location.REMOTE)
-    local_cfg = replace(
-        borrower_cfg,
-        n_elements=borrower_cfg.n_elements * 2,
-        concurrency=LENDER_LOCAL_CONCURRENCY,
-    )
-    local_program = StreamWorkload(local_cfg).program(Location.LENDER_LOCAL)
-    loads = mcln_background(
-        PathModel.from_config(config), local_program, n_local, LENDER_LOCAL_CONCURRENCY
-    )
-    start = system.sim.now
-    contention = HybridContention(
-        system, loads, foreground=remote_program, start_ps=start
-    )
-    with contention:
-        result = DesPhaseDriver(
-            system, remote_program, instance="w0", footprint_lines=1 << 14
-        ).run_to_completion()
-    if obs is not None:
-        obs.finish_system(system)
-    bus = system.lender.dram.bus
-    now = system.sim.now
-    elapsed_s = now / 1e12
-    served = bus.bytes_served + contention.background_bytes(LENDER_BUS, start, now)
-    util = served / (bus.rate * elapsed_s) if elapsed_s > 0 else 0.0
-    return {
-        "borrower_bw": result.bandwidth_bytes_per_s,
-        "lender_bus_util": util,
-        "events": {
-            "simulated": system.sim.events_processed,
-            "equivalent": contention.equivalent_events(
-                system.sim.events_processed, result.lines
-            ),
-        },
-    }
-
-
-def _run_fluid(
-    borrower_cfg: StreamConfig, n_local: int, period: int
-) -> tuple[float, float]:
-    config = paper_cluster_config(period=period)
-    base_engine = FluidEngine(config)
-    model = base_engine.model
-    # Demand of one local instance: concurrency-limited local streaming.
-    local_demand = (
-        LENDER_LOCAL_CONCURRENCY / (model.local_latency / 1e12)
-    )
-    remote_demand = model.remote_throughput_lines_per_s(
-        concurrency=borrower_cfg.concurrency, write_fraction=0.5
-    )
-    alloc = base_engine.mcln_allocation(remote_demand, local_demand, n_local)
-    share = min(1.0, alloc["remote"] / remote_demand) if remote_demand else 1.0
-    engine = FluidEngine(config, lender_bus_share=1.0)  # bus share via alloc below
-    run_result = engine.run(StreamWorkload(borrower_cfg).program(Location.REMOTE))
-    bus_line_rate = 1e12 / model.bus_interval
-    util = min(
-        1.0, (alloc["remote"] + sum(v for k, v in alloc.items() if k != "remote")) / bus_line_rate
-    )
-    return run_result.bandwidth_bytes_per_s * share, util

@@ -23,10 +23,7 @@ Mechanism (all integer arithmetic, so the knee is exact):
   backlog is a few grants deep, far under the RTO.
 
 A delay-schedule square pulse (PERIOD ``low -> high -> low``) is the
-trigger; ``mode="hybrid"`` additionally hammers the lender memory bus
-with a fluid contention pulse (:func:`repro.engine.hybrid.lender_bus_pulse`)
-over the same window — a gray lender composed with the overload layer,
-at zero contender events.
+trigger.
 
 The sweep compares the protection ladder under identical seeds:
 
@@ -166,9 +163,7 @@ def _goodput(completions: Sequence[int], start: int, stop: int) -> float:
     return done * 1e12 / (stop - start)
 
 
-def _metastable_point(
-    policy: str, mode: str, seed: int, quick: bool, obs=None
-) -> dict:
+def _metastable_point(policy: str, seed: int, quick: bool, obs=None) -> dict:
     """One protection-ladder rung (worker-runnable)."""
     phases = _phases(quick)
     config = paper_cluster_config(period=PERIOD_LOW, seed=seed).with_transport(
@@ -200,18 +195,6 @@ def _metastable_point(
         obs_label=f"policy={policy}",
     )
     system.attach_or_raise(n_probes=8)
-    if mode == "hybrid":
-        # Gray lender: a fluid contention pulse on the lender memory
-        # bus over the trigger window — fig6-style contenders with
-        # zero contender events, composed with shedding/fail-fast.
-        # The fraction leaves ~0.02% residual bus rate, so accesses
-        # granted during the trigger serialize tens of microseconds
-        # and the lender-side admission (``full``) sheds at the bus.
-        from repro.engine.hybrid import lender_bus_pulse
-
-        lender_bus_pulse(
-            system, phases["trigger_start"], phases["trigger_stop"], 0.9998
-        )
     completions: List[int] = []
     fails: Dict[str, int] = {}
     system.sim.process(
@@ -240,7 +223,6 @@ def _metastable_point(
 
 
 def run(
-    mode: str = "des",
     policies: Sequence[str] = POLICIES,
     seed: int = 1234,
     quick: bool = False,
@@ -252,21 +234,17 @@ def run(
 
     Every rung runs the same seed, the same open-loop arrivals and the
     same trigger; only the overload-control configuration differs, so
-    the goodput columns are directly comparable.  ``mode="hybrid"``
-    adds the fluid lender-bus contention pulse to the trigger.
-    ``quick`` shrinks the trigger and the post-trigger observation
-    window (the CI smoke shape).
+    the goodput columns are directly comparable.  ``quick`` shrinks the
+    trigger and the post-trigger observation window (the CI smoke shape).
     """
     if obs is not None:
-        outputs = [
-            _metastable_point(p, mode, seed, quick, obs=obs) for p in policies
-        ]
+        outputs = [_metastable_point(p, seed, quick, obs=obs) for p in policies]
     else:
         tasks = [
             PointTask(
-                key=f"metastable/mode={mode}/seed={seed}/quick={quick}/policy={p}",
+                key=f"metastable/seed={seed}/quick={quick}/policy={p}",
                 fn=_metastable_point,
-                kwargs={"policy": p, "mode": mode, "seed": seed, "quick": quick},
+                kwargs={"policy": p, "seed": seed, "quick": quick},
             )
             for p in policies
         ]
@@ -284,7 +262,6 @@ def run(
         rows.append(
             (
                 policy,
-                mode,
                 out["arrivals"],
                 out["completed"],
                 out["retransmissions"],
@@ -336,11 +313,10 @@ def run(
         experiment="metastable",
         title=(
             "Extension: metastable failure under retry amplification "
-            f"({len(rows)} protection configs, {mode} trigger)"
+            f"({len(rows)} protection configs)"
         ),
         columns=(
             "policy",
-            "mode",
             "arrivals",
             "completed",
             "retx",

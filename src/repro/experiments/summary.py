@@ -59,9 +59,7 @@ def _fig6() -> Tuple[ExperimentResult, str, str]:
     return result, f"Jain >= {min(jains):.3f}", "equal division"
 
 def _fig7() -> Tuple[ExperimentResult, str, str]:
-    result = run_experiment(
-        "fig7", mode="des", lender_counts=(0, 4, 8), stream=_FAST_STREAM
-    )
+    result = run_experiment("fig7", lender_counts=(0, 4, 8), stream=_FAST_STREAM)
     bws = [row[1] for row in result.rows]
     spread = (max(bws) - min(bws)) / max(bws) * 100
     return result, f"borrower flat ({spread:.1f}% spread)", "independent of N"

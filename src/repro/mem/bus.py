@@ -9,12 +9,6 @@ that serializes at a fixed byte rate (a memory bus, a link PHY).  It is
 FIFO service at line/packet granularity yields the equal-share
 behaviour the paper observes for competing STREAM instances (Fig. 6):
 interleaved requesters drain at the same rate.
-
-Hybrid-engine support: :meth:`BandwidthServer.set_background` attaches
-a :class:`~repro.sim.resources.RateSchedule` of fluid background
-traffic.  Foreground reservations then drain at ``rate - b(t)`` —
-contention costs wall time without contender events.  With no
-background attached the fast path is untouched (byte-identical DES).
 """
 
 from __future__ import annotations
@@ -22,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.obs.metrics import LogHistogram
-from repro.sim.resources import RateSchedule
 from repro.units import Duration, Time, transfer_time_ps
 
 __all__ = ["BandwidthServer"]
@@ -47,7 +40,6 @@ class BandwidthServer:
         "transfers",
         "_busy_time",
         "queue_wait_hist",
-        "_background",
         "sheds",
         "_service",
     )
@@ -64,8 +56,6 @@ class BandwidthServer:
         # Per-transfer head-of-line wait (ps), tracked only when
         # observability asks for it (None = disabled, zero-cost path).
         self.queue_wait_hist: Optional[LogHistogram] = None
-        # Fluid background traffic (None = pure-DES fast path).
-        self._background: Optional[RateSchedule] = None
         self.sheds = 0
         # nbytes -> service time; the rate is fixed, and a datapath
         # moves a handful of distinct sizes.
@@ -84,20 +74,6 @@ class BandwidthServer:
             duration = self._service[nbytes] = transfer_time_ps(nbytes, self.rate)
         return duration
 
-    def set_background(self, schedule: Optional[RateSchedule]) -> None:
-        """Attach (or clear) a fluid background-traffic rate timeline.
-
-        While attached, foreground reservations serialize at the
-        residual rate ``rate - schedule.rate_at(t)``; the schedule's
-        units must be bytes/s.
-        """
-        self._background = schedule if schedule else None
-
-    @property
-    def background(self) -> Optional[RateSchedule]:
-        """The attached background timeline, if any."""
-        return self._background
-
     def reserve(self, nbytes: int, at: Time) -> tuple[Time, Time]:
         """Reserve a transfer of *nbytes* arriving at time *at*.
 
@@ -105,12 +81,9 @@ class BandwidthServer:
         served in reservation order (FIFO).
         """
         start = at if at > self._next_free else self._next_free
-        if self._background is None:
-            duration = self._service.get(nbytes)
-            if duration is None:
-                duration = self.service_time(nbytes)
-        else:
-            duration = self._background.finish_time(start, nbytes, self.rate) - start
+        duration = self._service.get(nbytes)
+        if duration is None:
+            duration = self.service_time(nbytes)
         finish = start + duration
         self._next_free = finish
         self.bytes_served += nbytes

@@ -160,33 +160,6 @@ class Fabric:
         """True when hops drop frames (per-hop loss model armed)."""
         return self._fault is not None
 
-    def path_channels(self, src: Hashable, dst: Hashable) -> List[SimplexChannel]:
-        """Directed hop channels of the shortest path, in path order."""
-        vertices = self.path(src, dst)
-        return [
-            self._graph.edges[u, v]["edge"].channel
-            for u, v in zip(vertices, vertices[1:])
-        ]
-
-    def path_latency(self, nbytes: int, src: Hashable, dst: Hashable) -> Time:
-        """Uncontended store-and-forward time of one *nbytes* frame.
-
-        The closed form of :meth:`transmit` on an idle, lossless path:
-        per-hop serialization plus propagation, plus switch forwarding
-        at each intermediate vertex.  The hybrid engine uses this to
-        replay bulk transfers as fluid flows instead of per-frame
-        events.
-        """
-        vertices = self.path(src, dst)
-        total = 0
-        for u, v in zip(vertices, vertices[1:]):
-            if u in self._switches:
-                total += self._switches[u].forwarding_latency
-            edge: _Edge = self._graph.edges[u, v]["edge"]
-            total += edge.channel.serialization_time(nbytes)
-            total += self.link_config.propagation_delay
-        return total
-
     def channel(self, u: Hashable, v: Hashable) -> SimplexChannel:
         """Direct channel u→v (for inspection in tests/benchmarks)."""
         return self._graph.edges[u, v]["edge"].channel

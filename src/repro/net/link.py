@@ -56,19 +56,6 @@ class SimplexChannel:
         """Transmit-side utilization up to *now*."""
         return self._server.utilization(now)
 
-    def set_background(self, schedule) -> None:
-        """Attach fluid background traffic (bytes/s) to this direction.
-
-        Hybrid-engine hook — see
-        :meth:`repro.mem.bus.BandwidthServer.set_background`.
-        """
-        self._server.set_background(schedule)
-
-    @property
-    def background(self):
-        """The attached background timeline, if any."""
-        return self._server.background
-
 
 class DuplexLink:
     """Full-duplex link: independent forward and reverse channels.

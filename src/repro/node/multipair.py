@@ -341,7 +341,6 @@ class FailoverCoordinator:
         pair: ThymesisFlowSystem,
         now: Time,
         page_bytes: Optional[int] = None,
-        fluid: bool = False,
     ) -> None:
         """Re-reserve on a surviving lender and replay the pair's pages."""
         page_bytes = page_bytes or self.page_bytes
@@ -397,7 +396,6 @@ class FailoverCoordinator:
             dst=reservation.lender,
             n_pages=n_pages,
             page_bytes=page_bytes,
-            fluid=fluid,
         )
         replayer.on_done = (
             lambda r, pair=pair, outage_start=outage_start, detect=now: (

@@ -16,7 +16,7 @@ SimPy, specialized for this project:
 from repro.sim.core import EventHandle, Simulator
 from repro.sim.eventlog import EventLog, LogEntry
 from repro.sim.process import AllOf, AnyOf, Process, Signal, Timeout, Waitable
-from repro.sim.resources import RateSchedule, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngStreams
 from repro.sim.trace import SampleSeries, StatRecorder
 
@@ -31,7 +31,6 @@ __all__ = [
     "AllOf",
     "Resource",
     "Store",
-    "RateSchedule",
     "RngStreams",
     "StatRecorder",
     "SampleSeries",

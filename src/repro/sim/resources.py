@@ -9,131 +9,18 @@
 :class:`Resource`
     A counting semaphore with FIFO grant order, used for memory-bus
     slots, MSHR entries and similar bounded resources.
-
-:class:`RateSchedule`
-    A piecewise-constant rate timeline — the hybrid engine's handle for
-    fluid *background* traffic.  Servers subtract the scheduled rate
-    from their capacity when serving discrete foreground transfers.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
-from math import ceil
-from typing import Any, Deque, Iterable, Optional, Tuple
+from typing import Any, Deque, Optional
 
 from repro.errors import SimulationError
 from repro.sim.core import Simulator
 from repro.sim.process import Waitable
 
-__all__ = ["Store", "Resource", "RateSchedule"]
-
-
-class RateSchedule:
-    """Piecewise-constant background rate over simulated time.
-
-    Breakpoints are ``(start_ps, rate_units_per_s)`` pairs with strictly
-    increasing times; the rate is 0 before the first breakpoint and the
-    last segment extends to infinity (fluid solvers terminate a
-    timeline by appending an explicit ``(end, 0.0)`` breakpoint).
-
-    Units are deliberately generic: the schedule carries bytes/s for a
-    bandwidth server and grants/s for an injector gate.  Implements the
-    ``Snapshotable`` protocol so hybrid runs checkpoint/restore exactly.
-    """
-
-    __slots__ = ("_times", "_rates")
-
-    def __init__(self, points: Iterable[Tuple[int, float]] = ()) -> None:
-        times: list[int] = []
-        rates: list[float] = []
-        for t, r in points:
-            t, r = int(t), float(r)
-            if r < 0.0:
-                raise SimulationError(f"background rate must be >= 0, got {r}")
-            if times and t <= times[-1]:
-                raise SimulationError(
-                    f"RateSchedule breakpoints must be strictly increasing "
-                    f"({t} after {times[-1]})"
-                )
-            times.append(t)
-            rates.append(r)
-        self._times = times
-        self._rates = rates
-
-    def __bool__(self) -> bool:
-        return any(r > 0.0 for r in self._rates)
-
-    def __add__(self, other: "RateSchedule") -> "RateSchedule":
-        """Pointwise sum of two schedules (rates add, breakpoints merge).
-
-        Lets independent fluid sources (e.g. two concurrent evacuation
-        replays crossing the same fabric hop) compose onto one server.
-        """
-        if not isinstance(other, RateSchedule):
-            return NotImplemented
-        times = sorted(set(self._times) | set(other._times))
-        return RateSchedule(
-            (t, self.rate_at(t) + other.rate_at(t)) for t in times
-        )
-
-    def rate_at(self, t: int) -> float:
-        """Background rate in force at time *t* (units/s)."""
-        i = bisect_right(self._times, t)
-        return self._rates[i - 1] if i else 0.0
-
-    def next_change_after(self, t: int) -> Optional[int]:
-        """First breakpoint strictly after *t*, or ``None``."""
-        i = bisect_right(self._times, t)
-        return self._times[i] if i < len(self._times) else None
-
-    def integrate(self, t0: int, t1: int) -> float:
-        """Background units consumed over ``[t0, t1)``."""
-        total = 0.0
-        t = t0
-        while t < t1:
-            nxt = self.next_change_after(t)
-            seg_end = t1 if nxt is None or nxt > t1 else nxt
-            total += self.rate_at(t) * (seg_end - t) / 1e12
-            t = seg_end
-        return total
-
-    def finish_time(self, start: int, amount: float, capacity: float) -> int:
-        """Completion time of *amount* foreground units started at *start*.
-
-        The foreground drains at ``capacity - rate_at(t)`` units/s,
-        clamped to a small positive floor so an (unphysical) oversolved
-        background cannot stall the simulation forever.
-        """
-        if amount <= 0.0:
-            return start
-        floor = capacity * 1e-9
-        t = start
-        remaining = amount
-        while True:
-            net = capacity - self.rate_at(t)
-            if net < floor:
-                net = floor
-            nxt = self.next_change_after(t)
-            need_ps = remaining * 1e12 / net
-            if nxt is None or t + need_ps <= nxt:
-                return t + max(1, ceil(need_ps))
-            remaining -= net * (nxt - t) / 1e12
-            t = nxt
-
-    # ------------------------------------------------------------------
-    # Checkpoint / restore (the Snapshotable protocol)
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict[str, Any]:
-        """Export the breakpoint timeline."""
-        return {"points": [list(p) for p in zip(self._times, self._rates)]}
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        """Re-import a :meth:`snapshot_state` export."""
-        restored = RateSchedule(tuple((int(t), float(r)) for t, r in state["points"]))
-        self._times = restored._times
-        self._rates = restored._rates
+__all__ = ["Store", "Resource"]
 
 
 class _PutRequest(Waitable):

@@ -148,20 +148,6 @@ class TestContention:
             solo.bandwidth_bytes_per_s / 4, rel=0.05
         )
 
-    def test_mcln_allocation_remote_unaffected_when_bus_unsaturated(self):
-        eng = engine()
-        remote_demand = eng.model.remote_throughput_lines_per_s(128)
-        alloc = eng.mcln_allocation(remote_demand, local_demand_lines_per_s=1e8, n_local_flows=4)
-        assert alloc["remote"] == pytest.approx(remote_demand, rel=1e-6)
-
-    def test_mcln_bus_saturation_squeezes_remote(self):
-        eng = engine()
-        remote_demand = eng.model.remote_throughput_lines_per_s(128)
-        bus_rate = 1e12 / eng.model.bus_interval
-        # locals demand far beyond the bus: max-min squeezes everyone.
-        alloc = eng.mcln_allocation(remote_demand, local_demand_lines_per_s=bus_rate, n_local_flows=64)
-        assert alloc["remote"] < remote_demand
-
     def test_share_validation(self):
         with pytest.raises(ConfigError):
             engine(remote_share=0)

@@ -24,7 +24,7 @@ SEED = 1234
 def ladder():
     """One quick DES point per protection policy, shared by the tests."""
     return {
-        policy: _metastable_point(policy, "des", SEED, quick=True)
+        policy: _metastable_point(policy, SEED, quick=True)
         for policy in POLICIES
     }
 
@@ -85,7 +85,7 @@ class TestObservabilityInertness:
     @pytest.mark.parametrize("policy", ["none", "full"])
     def test_traced_run_matches_plain_run(self, policy, ladder):
         obs = Observability(trace=True, metrics=True, attrib=True)
-        traced = _metastable_point(policy, "des", SEED, quick=True, obs=obs)
+        traced = _metastable_point(policy, SEED, quick=True, obs=obs)
         assert traced == ladder[policy]
 
 
@@ -93,7 +93,7 @@ class TestBlameTiling:
     def test_blame_rows_tile_every_request_exactly(self):
         """mismatched == 0: fail-fast intervals are accounted, not lost."""
         obs = Observability(trace=True, metrics=True, attrib=True)
-        _metastable_point("full", "des", SEED, quick=True, obs=obs)
+        _metastable_point("full", SEED, quick=True, obs=obs)
         results = extract_attribution(obs.tracer)
         assert results, "no attribution extracted"
         assert sum(r.requests for r in results) > 0
@@ -108,7 +108,7 @@ class TestBlameTiling:
 
     def test_unprotected_run_also_tiles(self):
         obs = Observability(trace=True, metrics=True, attrib=True)
-        _metastable_point("none", "des", SEED, quick=True, obs=obs)
+        _metastable_point("none", SEED, quick=True, obs=obs)
         assert sum(r.mismatched for r in extract_attribution(obs.tracer)) == 0
 
 
@@ -122,10 +122,10 @@ def _dump(result):
 
 class TestExperimentHarness:
     def test_quick_run_passes_all_checks(self):
-        result = metastable.run(mode="des", quick=True, workers=1)
+        result = metastable.run(quick=True, workers=1)
         assert result.checks and result.passed, result.failed_checks()
 
     def test_parallel_run_matches_serial_bit_for_bit(self):
-        serial = metastable.run(mode="des", quick=True, workers=1)
-        parallel = metastable.run(mode="des", quick=True, workers=4)
+        serial = metastable.run(quick=True, workers=1)
+        parallel = metastable.run(quick=True, workers=4)
         assert _dump(serial) == _dump(parallel)

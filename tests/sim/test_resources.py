@@ -214,77 +214,3 @@ def test_property_resource_never_oversubscribed(capacity, holds):
     sim.run()
     assert max_seen[0] <= capacity
     assert res.in_use == 0
-
-
-# ----------------------------------------------------------------------
-# RateSchedule (hybrid-engine background rate timelines)
-# ----------------------------------------------------------------------
-class TestRateSchedule:
-    def test_piecewise_lookup(self):
-        from repro.sim import RateSchedule
-
-        s = RateSchedule([(100, 5e9), (200, 1e9), (300, 0.0)])
-        assert s.rate_at(0) == 0.0
-        assert s.rate_at(100) == 5e9
-        assert s.rate_at(199) == 5e9
-        assert s.rate_at(200) == 1e9
-        assert s.rate_at(10_000) == 0.0
-        assert s.next_change_after(100) == 200
-        assert s.next_change_after(300) is None
-
-    def test_breakpoints_must_increase(self):
-        from repro.sim import RateSchedule
-
-        with pytest.raises(SimulationError):
-            RateSchedule([(10, 1.0), (10, 2.0)])
-        with pytest.raises(SimulationError):
-            RateSchedule([(10, -1.0)])
-
-    def test_integrate_crosses_segments(self):
-        from repro.sim import RateSchedule
-
-        s = RateSchedule([(0, 1e12), (1_000, 0.0)])  # 1 unit/ps for 1000 ps
-        assert s.integrate(0, 1_000) == pytest.approx(1_000.0)
-        assert s.integrate(500, 1_500) == pytest.approx(500.0)
-
-    def test_finish_time_residual_rate(self):
-        from repro.sim import RateSchedule
-
-        # Background eats half of a 2 units/ps server: foreground drains
-        # at 1 unit/ps until t=1000, then at full rate.
-        s = RateSchedule([(0, 1e12), (1_000, 0.0)])
-        capacity = 2e12
-        assert s.finish_time(0, 500.0, capacity) == 500
-        # 1000 units: 1000 @ residual 1/ps until t=1000, then 0 left.
-        assert s.finish_time(0, 1_000.0, capacity) == 1_000
-        # 1500 units: 1000 by t=1000, remaining 500 at 2/ps -> t=1250.
-        assert s.finish_time(0, 1_500.0, capacity) == 1_250
-
-    def test_add_composes_pointwise(self):
-        from repro.sim import RateSchedule
-
-        a = RateSchedule([(0, 1e9), (100, 0.0)])
-        b = RateSchedule([(50, 2e9), (150, 0.0)])
-        c = a + b
-        assert c.rate_at(0) == 1e9
-        assert c.rate_at(50) == 3e9
-        assert c.rate_at(100) == 2e9
-        assert c.rate_at(150) == 0.0
-
-    def test_snapshot_roundtrip(self):
-        from repro.sim import RateSchedule
-
-        s = RateSchedule([(100, 5e9), (200, 0.0)])
-        state = s.snapshot_state()
-        restored = RateSchedule()
-        restored.restore_state(state)
-        for t in (0, 100, 150, 200, 999):
-            assert restored.rate_at(t) == s.rate_at(t)
-        assert restored.finish_time(0, 123.0, 1e10) == s.finish_time(0, 123.0, 1e10)
-
-    def test_empty_schedule_is_falsy(self):
-        from repro.sim import RateSchedule
-
-        assert not RateSchedule()
-        assert not RateSchedule([(0, 0.0)])
-        assert RateSchedule([(0, 1.0)])

@@ -121,6 +121,22 @@ class TestReport:
         assert "2.500" in lines[3]
         assert "-" in lines[4]
 
+    def test_render_table_separates_overflowing_cells(self):
+        out = render_table(
+            "T",
+            ["n", "breaker_trips", "goodput_pre_Mtx_s"],
+            [(10000, "FPGA not detected", 1)],
+            col_width=14,
+        )
+        lines = out.splitlines()
+        assert lines[1] == "             n breaker_trips goodput_pre_Mtx_s"
+        assert lines[2] == "-" * len(lines[1])
+        assert lines[3] == "         10000 FPGA not detected             1"
+
+    def test_render_table_first_cell_overflows_without_padding(self):
+        out = render_table("T", ["a"], [("x" * 20,)], col_width=14)
+        assert out.splitlines()[3] == "x" * 20
+
     def test_render_series(self):
         out = render_series("S", "x", "y", [1, 2], [3, 4])
         assert "x" in out and "y" in out and "S" in out

@@ -41,6 +41,20 @@ class TestCli:
         assert target.exists()
         assert "# experiment: fig3" in target.read_text()
 
+    def test_engine_flag_ignored_by_runner_without_mode(self, capsys):
+        assert main(["run", "metastable", "--quick", "--engine", "fluid"]) == 0
+        out = capsys.readouterr().out
+        note = "(note: metastable does not support --engine; flag ignored)"
+        assert note in out
+        assert "fluid" not in out.replace(note, "")
+
+    @pytest.mark.parametrize("command", (["run", "fig6"], ["all"]))
+    def test_hybrid_engine_is_an_argparse_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--engine", "hybrid"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'hybrid'" in capsys.readouterr().err
+
     def test_ablation_run_via_cli(self, capsys):
         assert main(["run", "ablation-wave"]) == 0
         out = capsys.readouterr().out
