@@ -16,7 +16,7 @@ from typing import Generator, List, Optional
 from repro.engine.phases import AccessPhase, Location, PhaseProgram
 from repro.errors import WorkloadError
 from repro.node.cluster import ThymesisFlowSystem
-from repro.sim import AllOf, Process, SampleSeries, Timeout
+from repro.sim import Process, SampleSeries, Signal, Timeout
 from repro.units import Time
 
 __all__ = ["InstanceResult", "DesPhaseDriver"]
@@ -119,10 +119,11 @@ class DesPhaseDriver:
         obs = self.system.obs
         pid = getattr(self.system, "_obs_pid", 1) or 1
         start = sim.now
+        parked: List[Optional[Signal]] = []  # slot -> what its worker waits on
         for phase in self.program:
             for repeat in range(phase.repeats):
                 phase_start = sim.now
-                yield from self._run_phase(phase)
+                yield from self._run_phase(phase, parked)
                 if obs.tracer.enabled:
                     obs.tracer.add_span(
                         f"{self.instance}.{phase.name}",
@@ -133,6 +134,8 @@ class DesPhaseDriver:
                         cat="phase",
                         args={"repeat": repeat},
                     )
+        for park in parked:
+            park.trigger(None)  # type: ignore[union-attr]  # no more phases
         end = sim.now
         self.result = InstanceResult(
             instance=self.instance,
@@ -153,45 +156,89 @@ class DesPhaseDriver:
             )
         return self.result
 
-    def _run_phase(self, phase: AccessPhase) -> Generator:
+    def _run_phase(
+        self, phase: AccessPhase, parked: List[Optional[Signal]]
+    ) -> Generator:
+        """Run one phase on ``min(concurrency, n_lines)`` worker slots.
+
+        Workers live for the whole program.  After each phase a slot's
+        worker parks on a fresh :class:`Signal`; the next phase wakes the
+        parked slots in slot order with a zero-delay trigger — the same
+        event a new process's start would be, so the event order is that
+        of one process per slot per phase — and starts a process for each
+        slot not yet filled.  The phase ends when its last worker finishes.
+        """
         sim = self.system.sim
         if phase.compute_ps:
             yield Timeout(sim, phase.compute_ps)
         if phase.n_lines == 0:
             return
         n_workers = min(phase.concurrency, phase.n_lines)
-        state = {"next": 0, "write_acc": 0.0}
+        done = Signal(sim)
+        task = (_PhaseWork(phase, n_workers), done)
+        for park in parked[:n_workers]:
+            sim.schedule(0, park.trigger, task)
+        for slot in range(len(parked), n_workers):
+            parked.append(None)  # the new worker parks when its phase ends
+            sim.process(
+                self._worker(slot, task, parked), name=f"{self.instance}.{slot}"
+            )
+        yield done
 
-        def worker() -> Generator:
-            while state["next"] < phase.n_lines:
-                idx = state["next"]
-                state["next"] += 1
-                # Bresenham-style deterministic write mixing.
-                state["write_acc"] += phase.write_fraction
-                write = state["write_acc"] >= 1.0
-                if write:
-                    state["write_acc"] -= 1.0
-                addr = self._addr_for(phase, idx)
-                if phase.location is Location.REMOTE:
-                    result = yield from self.system.remote_access(
-                        addr, write=write, traffic_class=self.traffic_class
-                    )
-                elif phase.location is Location.LENDER_LOCAL:
-                    result = yield from self.system.local_access(
-                        self.system.lender, addr, write=write
-                    )
-                else:
-                    result = yield from self.system.local_access(
-                        self.system.borrower, addr, write=write
-                    )
-                self.latencies.add(result.latency)
-                self._lines += 1
-                if phase.compute_ps_per_line:
-                    yield Timeout(sim, phase.compute_ps_per_line)
+    def _worker(
+        self, slot: int, task: Optional[tuple], parked: List[Optional[Signal]]
+    ) -> Generator:
+        sim = self.system.sim
+        while task is not None:
+            work, done = task
+            phase = work.phase
+            try:
+                while work.next < phase.n_lines:
+                    idx = work.next
+                    work.next += 1
+                    # Bresenham-style deterministic write mixing.
+                    work.write_acc += phase.write_fraction
+                    write = work.write_acc >= 1.0
+                    if write:
+                        work.write_acc -= 1.0
+                    addr = self._addr_for(phase, idx)
+                    if phase.location is Location.REMOTE:
+                        result = yield from self.system.remote_access(
+                            addr, write=write, traffic_class=self.traffic_class
+                        )
+                    elif phase.location is Location.LENDER_LOCAL:
+                        result = yield from self.system.local_access(
+                            self.system.lender, addr, write=write
+                        )
+                    else:
+                        result = yield from self.system.local_access(
+                            self.system.borrower, addr, write=write
+                        )
+                    self.latencies.add(result.latency)
+                    self._lines += 1
+                    if phase.compute_ps_per_line:
+                        yield Timeout(sim, phase.compute_ps_per_line)
+            except Exception as err:
+                if not done.triggered:
+                    done.fail(err)
+                raise
+            park = parked[slot] = Signal(sim)
+            work.running -= 1
+            if work.running == 0:
+                done.trigger()
+            task = yield park
 
-        procs = [sim.process(worker(), name=f"{self.instance}.{phase.name}.{i}")
-                 for i in range(n_workers)]
-        yield AllOf(sim, procs)
+
+class _PhaseWork:
+    """Progress of one phase, shared by the workers running it."""
+
+    __slots__ = ("phase", "next", "write_acc", "running")
+
+    def __init__(self, phase: AccessPhase, running: int) -> None:
+        self.phase = phase
+        self.next = 0
+        self.write_acc = 0.0
+        self.running = running
 
 
 def run_concurrent(

@@ -71,6 +71,34 @@ class TestDesPhaseDriver:
         with pytest.raises(WorkloadError):
             driver.start()
 
+    def test_workers_persist_across_phases(self):
+        """One worker process per slot for the whole program, not per phase."""
+        system = attached()
+        spawned = []
+        spawn = system.sim.process
+        system.sim.process = lambda gen, name="": spawned.append(name) or spawn(gen, name)
+        prog = (
+            PhaseProgram("w")
+            .add(remote_phase(n=100, c=8))
+            .add(remote_phase(n=100, c=4, reps=2))
+            .add(remote_phase(n=100, c=16))
+        )
+        result = DesPhaseDriver(system, prog).run_to_completion()
+        assert result.lines == 400
+        assert len(spawned) == 1 + 16  # the driver, then the widest phase's slots
+
+    def test_worker_failure_fails_the_run(self):
+        system = attached()
+
+        def failing_access(addr, write=False, traffic_class=None):
+            raise RuntimeError("datapath fault")
+            yield  # pragma: no cover - makes this a generator
+
+        system.remote_access = failing_access
+        prog = PhaseProgram("w").add(remote_phase(n=100, c=8)).add(remote_phase(n=100))
+        with pytest.raises(RuntimeError, match="datapath fault"):
+            DesPhaseDriver(system, prog).run_to_completion()
+
     def test_local_and_lender_local_phases(self):
         system = attached()
         prog = (
