@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Beyond-rack what-if study: switched fabric, incast, failures, CC.
+"""Beyond-rack what-if study: switched fabric, incast, failures.
 
 The paper characterizes a two-node prototype and *extrapolates* to a
 datacenter deployment; this example runs that extrapolation on the
@@ -8,27 +8,17 @@ simulator's beyond-rack substrates:
 1. four borrower-lender pairs through a shared switch — distinct
    lenders (no contention) vs incast onto one popular lender;
 2. a link blackout sweep — the survive/crash boundary the paper's
-   resilience discussion anticipates;
-3. Swift-style congestion control taming shared-path RTT for the
-   incast scenario.
+   resilience discussion anticipates.
 
 Run:  python examples/beyond_rack_study.py
 """
-
-import numpy as np
 
 from repro.analysis.report import render_table
 from repro.calibration import paper_cluster_config
 from repro.core.resilience import blackout_survival_sweep
 from repro.engine import DesPhaseDriver, Location
-from repro.engine.model import PathModel
-from repro.net.congestion import (
-    SharedBottleneck,
-    SwiftController,
-    run_congestion_epochs,
-)
 from repro.node.multipair import BeyondRackDeployment
-from repro.units import MS, US, microseconds, milliseconds
+from repro.units import MS, milliseconds
 from repro.workloads.stream import StreamConfig, StreamWorkload
 
 
@@ -82,29 +72,9 @@ def failure_study() -> None:
     print()
 
 
-def congestion_study() -> None:
-    model = PathModel.from_config(paper_cluster_config())
-    plant = SharedBottleneck(
-        base_rtt_ps=model.base_latency,
-        service_ps_per_line=round(model.link_interval(0.0)),
-    )
-    fixed_rtt = plant.rtt_for_load(8 * 128) / US
-    flows = [
-        SwiftController(target_rtt_ps=microseconds(10), flow_scaling_ps=microseconds(4))
-        for _ in range(8)
-    ]
-    out = run_congestion_epochs(flows, plant, n_epochs=800)
-    cc_rtt = float(np.median(out["rtts"][-200:])) / US
-    print("Incast with 8 tenants on one egress:")
-    print(f"  fixed 128-deep windows : shared RTT {fixed_rtt:6.1f} us")
-    print(f"  Swift-style control    : shared RTT {cc_rtt:6.1f} us "
-          f"(target 10 us, fair windows)")
-
-
 def main() -> None:
     fabric_study()
     failure_study()
-    congestion_study()
 
 
 if __name__ == "__main__":

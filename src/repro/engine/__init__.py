@@ -15,7 +15,7 @@ suite:
 """
 
 from repro.engine.des import DesPhaseDriver, InstanceResult, run_concurrent
-from repro.engine.fluid import FlowSpec, FluidEngine, solve_max_min_shares
+from repro.engine.fluid import FluidEngine
 from repro.engine.model import PathModel
 from repro.engine.phases import AccessPhase, Location, PhaseProgram
 
@@ -25,8 +25,6 @@ __all__ = [
     "PhaseProgram",
     "PathModel",
     "FluidEngine",
-    "FlowSpec",
-    "solve_max_min_shares",
     "DesPhaseDriver",
     "InstanceResult",
     "run_concurrent",

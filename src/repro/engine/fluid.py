@@ -16,8 +16,7 @@ which is what yields the paper's constant bandwidth-delay product.
 Borrower-side contention (Fig. 6) gives each of N identical remote
 flows an equal share of the gate and link
 (:meth:`FluidEngine.contended_remote_engines`), the fluid counterpart
-of the DES engine's FIFO interleaving; :func:`solve_max_min_shares` is
-the general max-min fair allocation across flows.
+of the DES engine's FIFO interleaving.
 
 All sweep APIs accept NumPy arrays of PERIOD values and evaluate
 vectorized, per the project's HPC style guides.
@@ -26,7 +25,7 @@ vectorized, per the project's HPC style guides.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Iterable
 
 import numpy as np
 
@@ -37,88 +36,9 @@ from repro.errors import ConfigError
 from repro.units import Duration
 
 __all__ = [
-    "FlowSpec",
-    "solve_max_min_shares",
     "FluidEngine",
     "FluidRun",
 ]
-
-
-@dataclass(frozen=True)
-class FlowSpec:
-    """One traffic flow competing for shared resources.
-
-    Attributes
-    ----------
-    name:
-        Flow identifier.
-    demand:
-        Offered rate in lines/s (the rate the flow would sustain with
-        no contention).
-    resources:
-        Names of the shared resources the flow crosses.
-    """
-
-    name: str
-    demand: float
-    resources: Tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.demand < 0:
-            raise ConfigError(f"flow demand must be >= 0, got {self.demand}")
-        if not self.resources:
-            raise ConfigError(f"flow {self.name!r} must cross at least one resource")
-
-
-def solve_max_min_shares(
-    flows: Sequence[FlowSpec], capacities: Mapping[str, float]
-) -> Dict[str, float]:
-    """Max-min fair allocation of resource capacity to flows.
-
-    Classic progressive water-filling: repeatedly find the most
-    constrained resource, give every unfrozen flow crossing it an equal
-    share of its remaining capacity (never more than the flow's
-    demand), freeze those flows, and subtract.  Demand-limited flows
-    freeze at their demand first.
-
-    Returns ``{flow name: allocated rate}``.
-    """
-    for flow in flows:
-        for res in flow.resources:
-            if res not in capacities:
-                raise ConfigError(f"flow {flow.name!r} crosses unknown resource {res!r}")
-    remaining = {r: float(c) for r, c in capacities.items()}
-    alloc: Dict[str, float] = {}
-    active = {f.name: f for f in flows}
-
-    while active:
-        # Fair share offered by each resource to its unfrozen flows.
-        crossing: Dict[str, list[str]] = {}
-        for name, flow in active.items():
-            for res in flow.resources:
-                crossing.setdefault(res, []).append(name)
-        shares = {
-            res: remaining[res] / len(names) for res, names in crossing.items()
-        }
-        # Each flow's candidate rate: min share over its resources,
-        # capped by its demand.
-        candidate = {
-            name: min(
-                min(shares[res] for res in flow.resources), flow.demand
-            )
-            for name, flow in active.items()
-        }
-        # Freeze the flow(s) with the smallest candidate — either
-        # demand-limited or pinned by the tightest resource.
-        floor = min(candidate.values())
-        frozen = [name for name, rate in candidate.items() if rate <= floor + 1e-12]
-        for name in frozen:
-            flow = active.pop(name)
-            rate = candidate[name]
-            alloc[name] = rate
-            for res in flow.resources:
-                remaining[res] = max(0.0, remaining[res] - rate)
-    return alloc
 
 
 @dataclass(frozen=True)
@@ -149,8 +69,7 @@ class FluidEngine:
         :meth:`with_period`.
     remote_share:
         Fraction (0, 1] of gate/link capacity available to this flow —
-        used to model contention computed by
-        :func:`solve_max_min_shares`.
+        used to model contention (see :meth:`contended_remote_engines`).
     lender_bus_share:
         Fraction of the lender memory bus available to this flow.
     """

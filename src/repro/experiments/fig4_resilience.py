@@ -39,7 +39,6 @@ _DEGRADED = "degraded"
 
 
 def run(
-    mode: str = "des",
     periods: Sequence[int] = DEFAULT_PERIODS,
     stream: StreamConfig | None = None,
     loss: Optional[float] = None,
@@ -55,9 +54,10 @@ def run(
     With ``loss`` set, run the chaos extension instead: a loss-rate
     ladder anchored at *loss* under the given retransmission budget;
     ``workers``/``cache`` fan its levels over the sweep executor.  The
-    delay sweep stays serial (a handful of attach attempts).
+    delay sweep stays serial (a handful of attach attempts), and
+    ``quick`` leaves it at full size: a smaller STREAM never fills the
+    window, so PERIOD = 1000 would read well short of ~400 us.
     """
-    del mode  # the resilience path exists only in the DES engine
     if loss is not None:
         return _run_loss(
             loss,
@@ -68,8 +68,6 @@ def run(
             workers=workers,
             cache=cache,
         )
-    if stream is None and quick:
-        stream = StreamConfig(n_elements=1_000)
     report = resilience_sweep(periods=periods, stream=stream)
     rows = []
     for point in report.points:

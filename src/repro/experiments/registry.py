@@ -17,6 +17,7 @@ from repro.experiments import (
     table1_high_delay,
 )
 from repro.experiments.ablations import (
+    allocation,
     blackout,
     distribution,
     pooling,
@@ -40,6 +41,7 @@ _REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {
     "ablation-qos": qos_priority.run,
     "ablation-blackout": blackout.run,
     "ablation-pooling": pooling.run,
+    "ablation-allocation": allocation.run,
     "failover": failover.run,
     "metastable": metastable.run,
 }
@@ -57,6 +59,7 @@ _DESCRIPTIONS: Dict[str, str] = {
     "ablation-qos": "Extension: priority arbitration at the delay gate",
     "ablation-blackout": "Extension: link blackout survive/crash boundary",
     "ablation-pooling": "Extension: memory pooling vs borrowing bottleneck shift",
+    "ablation-allocation": "Extension: lender busyness as a placement signal",
     "failover": "Extension: lender failure domains (health-checked failover)",
     "metastable": "Extension: metastable collapse vs overload-control ladder",
 }

@@ -1,6 +1,5 @@
 """Network substrate: links, switches, fabrics, latency profiles."""
 
-from repro.net.congestion import SharedBottleneck, SwiftController, run_congestion_epochs
 from repro.net.fabric import Fabric
 from repro.net.faults import Delivery, FaultModel, FaultyChannel, GilbertElliott
 from repro.net.latency import DatacenterLatencyProfile, named_profile
@@ -18,7 +17,4 @@ __all__ = [
     "Fabric",
     "DatacenterLatencyProfile",
     "named_profile",
-    "SwiftController",
-    "SharedBottleneck",
-    "run_congestion_epochs",
 ]

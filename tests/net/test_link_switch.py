@@ -5,6 +5,7 @@ import pytest
 from repro.config import LinkConfig
 from repro.errors import ConfigError
 from repro.net import DuplexLink, Fabric, SimplexChannel, Switch
+from repro.nic.packet import HEADER_BYTES
 
 
 def link_cfg(**kw):
@@ -112,6 +113,35 @@ class TestFabric:
         a = fabric.transmit(1000, "b0", "l0", at=0)
         b = fabric.transmit(1000, "b1", "l1", at=0)
         assert a == b
+
+    def test_switched_burst_vs_point_to_point(self):
+        """Four read-response bursts: store-and-forward vs a shared egress.
+
+        Distinct lenders through one switch pay only the extra hop
+        (< 2.2x a dedicated cable); four flows from one lender share its
+        switch egress port and serialize (> 3x the distinct-lender time).
+        """
+        n_pairs, burst, resp_bytes = 4, 2000, HEADER_BYTES + 128
+        link = DuplexLink(LinkConfig())
+        for _ in range(burst):
+            p2p = link.reverse.transmit(resp_bytes, at=0)
+
+        def switched(shared_lender):
+            fabric = Fabric(LinkConfig())
+            fabric.add_switch("sw")
+            lenders = ["l0"] * n_pairs if shared_lender else [f"l{i}" for i in range(n_pairs)]
+            for node in [f"b{i}" for i in range(n_pairs)] + sorted(set(lenders)):
+                fabric.add_node(node)
+                fabric.connect(node, "sw")
+            finish = [0] * n_pairs
+            for _ in range(burst):  # interleaved, so the switch sees concurrent flows
+                for i, lender in enumerate(lenders):
+                    finish[i] = fabric.transmit(resp_bytes, lender, f"b{i}", at=0)
+            return max(finish)
+
+        distinct = switched(shared_lender=False)
+        assert distinct < 2.2 * p2p
+        assert switched(shared_lender=True) > 3 * distinct
 
     def test_no_path_raises(self):
         fabric = Fabric(link_cfg())

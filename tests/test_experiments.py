@@ -4,6 +4,8 @@ These use reduced sizes / the fluid engine where the default would be
 slow; the benchmark harness runs the full-size versions.
 """
 
+import inspect
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -30,11 +32,22 @@ class TestRegistry:
             "ablation-qos",
             "ablation-blackout",
             "ablation-pooling",
+            "ablation-allocation",
         } <= names
 
     def test_unknown_experiment(self):
         with pytest.raises(ExperimentError):
             get_experiment("fig99")
+
+
+@pytest.mark.parametrize("name", [name for name, _ in list_experiments()])
+def test_quick_config_passes_checks(name):
+    """What ``repro all --quick`` runs: each id's quick size, its checks held."""
+    runner = get_experiment(name)
+    quick = {"quick": True} if "quick" in inspect.signature(runner).parameters else {}
+    result = runner(**quick)
+    assert result.experiment == name
+    assert result.passed, result.failed_checks()
 
 
 class TestFig2:

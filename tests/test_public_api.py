@@ -1,11 +1,14 @@
 """Public-API integrity: every ``__all__`` name resolves, docstrings exist.
 
 Guards against export rot: a renamed class whose ``__all__`` entry was
-forgotten, or a public module without documentation.
+forgotten, a public module without documentation, or an example or
+benchmark script still importing something that was deleted.
 """
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +37,10 @@ PACKAGES = [
 ]
 
 
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted(ROOT.glob("examples/*.py")) + sorted(ROOT.glob("benchmarks/bench_*.py"))
+
+
 def _walk_modules():
     seen = []
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
@@ -57,6 +64,15 @@ def test_every_module_importable():
         except Exception as exc:  # pragma: no cover - report below
             failures.append((name, exc))
     assert not failures, failures
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_script_imports(path):
+    """Examples and benches import cleanly; their ``main`` does not run."""
+    spec = importlib.util.spec_from_file_location(f"_script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert (module.__doc__ or "").strip()
 
 
 def test_every_module_has_docstring():
