@@ -4,7 +4,9 @@ These use reduced sizes / the fluid engine where the default would be
 slow; the benchmark harness runs the full-size versions.
 """
 
+import hashlib
 import inspect
+import json
 
 import pytest
 
@@ -40,14 +42,50 @@ class TestRegistry:
             get_experiment("fig99")
 
 
+#: sha256 of each id's quick ``ExperimentResult.to_dict()`` (canonical
+#: JSON, see :func:`_result_sha256`): rows, checks and notes must stay
+#: byte-identical across datapath refactors, not only pass their checks.
+QUICK_RESULT_SHA256 = {
+    "ablation-allocation": "5f9a9979783f3e020aa2c439e627d6cd5cbeb5cbfd8a3f86b1986811d7ba1de8",
+    "ablation-blackout": "8d59be525f56d4531ee98425f4eea26ecc904abd69d03e21ae4ca4a158637770",
+    "ablation-dist": "5135cf6bbc6e40961524e237ab48d9e8ecc87cd2715e83d6fe6a30ffc4c98718",
+    "ablation-pooling": "7ec2d650d8c67e0a85068352c6522509bafc7a9f09c0a1ff374367af1dc42eb5",
+    "ablation-qos": "b20e49319314ae607e6e6de0e45853954f25160546582bb8be1d9d4f9ff5f4cd",
+    "ablation-wave": "d6e980837f28f82d8a6382fe5f54492222e0aa6bcad75e31aa4b834a62045eb3",
+    "failover": "22aa4f84b0a69379c0ff2f290f259e3301395e9603d58b5c8a907b05c837068b",
+    "fig2": "d61b5cf2b789095c6e5271d868933d1714f443aa8ce6b0df3f920210bc0e36f3",
+    "fig3": "b4199bf07e71078b32d6b979cbc3ac357927bba3cef66506396cc56f675822cd",
+    "fig4": "1ed3cdffe3fc8a609ef00c3a296e7b6210fc1195be64ef752707b284ea8a9479",
+    "fig5": "12f24eb9bea93939c366e78d394a6a31c314a770b1f685027f9563ce439ddb79",
+    "fig6": "57beb0ec03fed6ffb07260592cfc7237afa5161870a4a7177211c91a091cbce5",
+    "fig7": "a5ec4ebe66b01786453ebd82ae0b85167b659d6e479a47905699356480789b24",
+    "metastable": "d11a169ac1454a8f75e306b52b531e493bdd366d68a48ab4b43dc7aa8b564aa3",
+    "table1": "1f208593e14a600a84d4427928862b9817fc103a0069aac84db871524cab4926",
+}
+
+
+def _result_sha256(result) -> str:
+    """sha256 of *result*'s plain-data form as sorted, compact JSON."""
+    text = json.dumps(
+        result.to_dict(), sort_keys=True, separators=(",", ":"), default=lambda o: o.item()
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_every_registered_id_has_a_quick_digest():
+    assert sorted(QUICK_RESULT_SHA256) == sorted(name for name, _ in list_experiments())
+
+
 @pytest.mark.parametrize("name", [name for name, _ in list_experiments()])
 def test_quick_config_passes_checks(name):
-    """What ``repro all --quick`` runs: each id's quick size, its checks held."""
+    """What ``repro all --quick`` runs: each id's quick size, its checks
+    held and its result identical to the committed digest."""
     runner = get_experiment(name)
     quick = {"quick": True} if "quick" in inspect.signature(runner).parameters else {}
     result = runner(**quick)
     assert result.experiment == name
     assert result.passed, result.failed_checks()
+    assert _result_sha256(result) == QUICK_RESULT_SHA256[name]
 
 
 class TestFig2:
