@@ -26,10 +26,36 @@ from repro.axi.ratelimit import SlotGate
 from repro.config import DelayInjectionConfig, FpgaConfig
 from repro.core.delay.distributions import DelayDistribution, make_delay_distribution
 from repro.core.delay.schedule import DelaySchedule
-from repro.sim import RngStreams, SampleSeries
+from repro.sim import RngStreams
 from repro.units import Duration, Time
 
-__all__ = ["DelayInjector"]
+__all__ = ["DelayInjector", "WaitTally"]
+
+
+class WaitTally:
+    """Count and total (ps) of gate waits, read like a sample series.
+
+    What the injector keeps instead of one sample per transaction:
+    ``len()``, ``sum()`` and ``mean()`` give what the series of waits
+    would (the total is exact in integer ps).
+    """
+
+    __slots__ = ("count", "total")
+
+    def __init__(self, count: int, total: int) -> None:
+        self.count = count
+        self.total = total
+
+    def __len__(self) -> int:
+        return self.count
+
+    def sum(self) -> int:
+        """Total wait (ps)."""
+        return self.total
+
+    def mean(self) -> float:
+        """Mean wait (ps); NaN when empty."""
+        return self.total / self.count if self.count else float("nan")
 
 
 class DelayInjector:
@@ -77,11 +103,15 @@ class DelayInjector:
         )
         # Distribution mode tracks its own last grant on the clock grid.
         self._last_grant: Time = -self._t_cyc
-        self.waits = SampleSeries("injector.wait")
-        # Running total of ``waits`` (ps); an int stays exact where a
-        # float sum of the series would have to re-read every sample.
+        # Running count and total (ps) of gate waits; an int total stays
+        # exact, and no per-transaction sample is kept.
         self.wait_sum_ps = 0
         self.transactions = 0
+
+    @property
+    def waits(self) -> WaitTally:
+        """Gate waits so far, read as ``len()``, ``sum()`` and ``mean()``."""
+        return WaitTally(self.transactions, self.wait_sum_ps)
 
     @property
     def period(self) -> int:
@@ -145,7 +175,6 @@ class DelayInjector:
                 grant = self._last_grant + self._t_cyc
             self._last_grant = grant
         self.transactions += 1
-        self.waits.add(grant - at)
         self.wait_sum_ps += grant - at
         return grant
 

@@ -86,6 +86,8 @@ class DesPhaseDriver:
         self._lines = 0
         self._proc: Optional[Process] = None
         self.result: Optional[InstanceResult] = None
+        if any(phase.location is Location.LENDER_LOCAL for phase in program):
+            system.share_lender_bus()
 
     # ------------------------------------------------------------------
     def start(self) -> Process:

@@ -87,6 +87,12 @@ class Packet:
         """Total on-wire size: header plus payload when data is carried."""
         return HEADER_BYTES + (self.size if self.kind in _DATA_KINDS else 0)
 
+    @property
+    def response_wire_bytes(self) -> int:
+        """On-wire size of the response to this request."""
+        carries = _RESPONSE_KIND.get(self.kind) in _DATA_KINDS
+        return HEADER_BYTES + (self.size if carries else 0)
+
     def response_kind(self) -> PacketKind:
         """The packet kind that answers this request."""
         try:

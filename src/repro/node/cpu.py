@@ -10,6 +10,8 @@ paper measures (Fig. 3): ``BDP = window x line_bytes``.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.config import CpuConfig
 from repro.obs import LogHistogram
 from repro.sim import Resource, Simulator, Waitable
@@ -54,10 +56,7 @@ class MemoryWindow:
 
     def acquire(self) -> Waitable:
         """Claim a window slot (blocks the caller when the window is full)."""
-        requested_at = self.sim.now
-        req = self._slots.acquire()
-        req.add_callback(lambda _w: self._granted(self.sim.now - requested_at))
-        return req
+        return self._slots.acquire(_SlotGrant(self))
 
     def _granted(self, wait: int) -> None:
         if self._slots.in_use > self.peak_occupancy:
@@ -71,3 +70,20 @@ class MemoryWindow:
     def utilization(self) -> float:
         """Mean occupied fraction of the window since simulation start."""
         return self._slots.utilization()
+
+
+class _SlotGrant(Waitable):
+    """One window acquire: the freed slot is handed to its waiter by
+    :meth:`trigger`, which records the wait first — no callback per
+    grant."""
+
+    __slots__ = ("window", "requested_at")
+
+    def __init__(self, window: MemoryWindow) -> None:
+        super().__init__(window.sim)
+        self.window = window
+        self.requested_at = window.sim.now
+
+    def trigger(self, value: Any = None) -> None:
+        self.window._granted(self.sim.now - self.requested_at)
+        Waitable.trigger(self, value)

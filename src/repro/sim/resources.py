@@ -150,9 +150,15 @@ class Resource:
             return True
         return False
 
-    def acquire(self) -> Waitable:
-        """Wait for a slot; the waitable value is a release token."""
-        req = Waitable(self.sim)
+    def acquire(self, req: Optional[Waitable] = None) -> Waitable:
+        """Wait for a slot; the waitable value is a release token.
+
+        *req* is the waitable to trigger with the slot (a fresh
+        :class:`Waitable` when omitted); a subclass can note the grant
+        in its own ``trigger``.
+        """
+        if req is None:
+            req = Waitable(self.sim)
         if self.try_acquire():
             req.trigger(self)
         else:

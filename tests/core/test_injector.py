@@ -47,7 +47,8 @@ class TestConstantInjection:
         inj = injector(period=10)
         inj.admit(1)  # waits until next grid point
         assert len(inj.waits) == 1
-        assert inj.waits.values[0] > 0
+        assert inj.waits.sum() == inj.wait_sum_ps > 0
+        assert inj.waits.mean() == inj.wait_sum_ps
         assert inj.transactions == 1
 
     def test_mean_interval(self):

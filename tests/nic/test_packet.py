@@ -50,6 +50,25 @@ class TestResponses:
         resp = make(PacketKind.READ_REQ, src=3, dst=9, seq=42).make_response()
         assert (resp.src, resp.dst, resp.seq) == (9, 3, 42)
 
+    @pytest.mark.parametrize(
+        "req", [PacketKind.READ_REQ, PacketKind.WRITE_REQ, PacketKind.PROBE]
+    )
+    def test_response_wire_bytes_match_the_response(self, req):
+        request = make(req)
+        assert request.response_wire_bytes == request.make_response().wire_bytes
+
+    @pytest.mark.parametrize(
+        "req", [PacketKind.READ_REQ, PacketKind.WRITE_REQ, PacketKind.PROBE]
+    )
+    def test_arq_reply_is_the_response_on_the_wire(self, req):
+        from repro.node.reliable import _Reply
+
+        request = make(req, seq=99, addr=0xBEEF)
+        response = request.make_response()
+        reply = _Reply(request, cum_ack=42)
+        assert reply.wire_bytes == response.wire_bytes
+        assert reply.encode() == response.encode()
+
     def test_response_of_response_raises(self):
         with pytest.raises(ProtocolError):
             make(PacketKind.READ_RESP).response_kind()

@@ -9,8 +9,11 @@ from repro.calibration import (
     baseline_remote_latency_ps,
     paper_cluster_config,
 )
-from repro.errors import AttachError
+from repro.engine.des import DesPhaseDriver, run_concurrent
+from repro.engine.phases import AccessPhase, Location, PhaseProgram
+from repro.errors import AttachError, SimulationError
 from repro.node.cluster import ThymesisFlowSystem
+from repro.obs import Observability
 from repro.sim import AllOf
 from repro.units import US
 
@@ -154,3 +157,61 @@ class TestWindowBackpressure:
         system.sim.run()
         assert max(peak) <= OUTSTANDING_WINDOW
         assert system.borrower.window.outstanding == 0
+
+
+def lender_local_program(n=64):
+    return PhaseProgram("hammer").add(
+        AccessPhase("lend", n_lines=n, location=Location.LENDER_LOCAL, concurrency=8)
+    )
+
+
+class TestReserveAhead:
+    """A private clean system reserves the lender bus at the gate grant;
+    lender-local traffic must put it back on the sleeping path."""
+
+    def contended(self, obs=None):
+        system = ThymesisFlowSystem(paper_cluster_config(period=1), obs=obs)
+        system.attach_or_raise()  # probes do not touch the lender bus
+        attached_at = system.sim.events_processed
+        remote = PhaseProgram("remote").add(AccessPhase("r", n_lines=400, concurrency=32))
+        results = run_concurrent(system, [remote, lender_local_program(400)])
+        return system.sim.events_processed - attached_at, results
+
+    def test_lender_local_driver_keeps_sleeping_path(self):
+        # A live timeline always sleeps, so it is the reference order.
+        plain_events, plain_results = self.contended()
+        slept_events, slept_results = self.contended(Observability(trace=False, metrics=True))
+        for a, b in zip(plain_results, slept_results):
+            assert a.latencies.values.tolist() == b.latencies.values.tolist()
+            assert a.end_time == b.end_time
+        assert plain_events == slept_events
+
+    def test_lender_local_driver_after_reservation_ahead_raises(self):
+        system = attached_system()
+        run_accesses(system, 4)
+        with pytest.raises(SimulationError, match="ahead"):
+            DesPhaseDriver(system, lender_local_program())
+
+    def test_lender_local_access_after_reservation_ahead_raises(self):
+        system = attached_system()
+        run_accesses(system, 4)
+        gen = system.local_access(system.lender, 0)
+        with pytest.raises(SimulationError, match="ahead"):
+            next(gen)
+
+    def test_reserving_ahead_sleeps_once(self):
+        ahead = attached_system()
+        before = ahead.sim.events_processed
+        run_accesses(ahead, 50, concurrency=8)
+        slept = ThymesisFlowSystem(
+            paper_cluster_config(period=1), obs=Observability(trace=False, metrics=True)
+        )
+        slept.attach_or_raise()
+        slept_before = slept.sim.events_processed
+        results = run_accesses(slept, 50, concurrency=8)
+        assert (slept.sim.events_processed - slept_before) - (
+            ahead.sim.events_processed - before
+        ) == 50
+        assert [r.latency for r in run_accesses(attached_system(), 50, concurrency=8)] == [
+            r.latency for r in results
+        ]

@@ -26,3 +26,10 @@ def test_digest_matches_committed(name):
     expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
     want = expected[digest_key(name, SEED, SCALE)]
     assert run_episode(name, SEED, SCALE)["digest"] == want
+
+
+def test_stream_p4_sleeps_once_per_transaction():
+    """Each clean transaction is one sleep; STREAM's per-line compute
+    adds 0.8 events per transaction on top."""
+    report = run_episode("stream-p4", SEED, 0.05)
+    assert report["events"] / report["txns"] <= 1.9
